@@ -102,6 +102,19 @@ class StatsError(ReproError, ValueError):
     retryable = False
 
 
+class SetupError(ReproError, ValueError):
+    """A requested setup cannot be realised, e.g. an environment size
+    the padding variable cannot reach from the base environment.
+
+    Raised where a study spec or command line enters the lab, before
+    anything is measured, so a bad request is refused instead of run and
+    quarantined setup by setup.  Also a ``ValueError`` so spec parsers
+    that map ``ValueError`` to a rejected request keep doing so.
+    """
+
+    retryable = False
+
+
 class ArchiveCorruption(ReproError, ValueError):
     """A measurement archive or checkpoint journal failed validation.
 

@@ -9,8 +9,10 @@ tax in two layers:
 
 1. **Basic-block decode cache** — on first use of an
    (:class:`~repro.isa.program.Executable`, machine config) pair, every
-   straight-line block (leader → first control transfer) is decoded
-   *once* into a specialized Python function: operands, effective
+   straight-line block (leader → first control transfer) the dispatcher
+   can enter is decoded *once* into a specialized Python function
+   (blocks only ever reached inside another block's frame are never
+   dispatched, so they are not compiled on their own): operands, effective
    immediates, byte addresses, trap messages and per-machine cycle
    constants are baked in as literals, so the hot loop replays compiled
    blocks instead of re-decoding instructions.  Code is immutable after
@@ -124,11 +126,11 @@ class BlockCache:
 
     Holds only the executable's decode arrays (not the ``Executable``
     itself — the registry below keys on it weakly, and a strong
-    back-reference from the value would leak the entry).  Blocks are
-    batch-compiled per *variant* (budget/profiling combination) on first
-    use; blocks entered at addresses discovered only at run time
-    (returns to computed addresses landing mid-block) are compiled
-    lazily and cached alongside.
+    back-reference from the value would leak the entry).  The blocks of
+    the :meth:`dispatch_closure` are batch-compiled per *variant*
+    (budget/profiling combination) on first use; any other entry the
+    dispatcher meets (returns to computed addresses landing mid-block)
+    is compiled lazily and cached alongside.
     """
 
     def __init__(self, exe, cfg: MachineConfig) -> None:
@@ -166,6 +168,7 @@ class BlockCache:
             if self._lsd_eligible[i]
         ]
         self._plans: Dict[int, BlockPlan] = {}
+        self._closure: Optional[List[int]] = None
         self._variants: Dict[_Variant, Dict[str, Any]] = {}
         self._lock = threading.Lock()
 
@@ -204,6 +207,64 @@ class BlockCache:
             if 0 <= lead < self._n
         ]
 
+    def dispatch_closure(self) -> List[int]:
+        """Sorted entry pcs the dispatcher can be handed, from ``entry``.
+
+        Follows every exit of each entry's factory exactly as
+        :meth:`_emit_seam` generates it: branch targets and JMP/fall-
+        through continuations that leave the chain (exits back to the
+        entry compile to ``continue``, and a non-final segment's
+        continuation falls through in-frame), CALL targets, and — once
+        any RET is reachable — the return site of every reachable CALL.
+        Leaders entered only from inside another factory's frame are
+        left out.  A pc a RET reaches through a corrupted or computed
+        return address is outside the closure and takes the lazy
+        :meth:`factory` path, so this only decides *when* a block is
+        compiled, never what a run computes.
+        """
+        if self._closure is not None:
+            return self._closure
+        n = self._n
+        targets = self._targets
+        seen = {self._entry} if 0 <= self._entry < n else set()
+        work = list(seen)
+        ret_sites: List[int] = []
+        has_ret = False
+
+        def reach(pc) -> None:
+            if pc is not None and 0 <= pc < n and pc not in seen:
+                seen.add(pc)
+                work.append(pc)
+
+        while work:
+            entry = work.pop()
+            segs, _ = self._chain(entry)
+            for si, plan in enumerate(segs):
+                p = plan.pcs[-1]
+                term = plan.terminator_op
+                exits = []
+                if term in (28, 29, 31):
+                    exits.append(targets[p])
+                if si == len(segs) - 1:
+                    if term == 30:
+                        exits.append(targets[p])
+                    elif term is None or term in (28, 29):
+                        exits.append(p + 1)
+                for pc in exits:
+                    if pc != entry:
+                        reach(pc)
+                if term == 31:
+                    site = self._a2i_get(self._addrs[p] + self._sizes[p])
+                    ret_sites.append(site)
+                    if has_ret:
+                        reach(site)
+                elif term == 32 and not has_ret:
+                    has_ret = True
+                    for site in ret_sites:
+                        reach(site)
+        self._closure = sorted(seen)
+        return self._closure
+
     # -- compilation ------------------------------------------------------
 
     def _new_globals(self) -> Dict[str, Any]:
@@ -226,12 +287,8 @@ class BlockCache:
             ent = self._variants.get(variant)
             if ent is not None:
                 return ent
-            chunks = []
-            entries = []
-            for lead in sorted(self._leaders):
-                if 0 <= lead < self._n:
-                    chunks.append(self._factory_source(lead, variant))
-                    entries.append(lead)
+            entries = self.dispatch_closure()
+            chunks = [self._factory_source(pc, variant) for pc in entries]
             glb = self._new_globals()
             tag = "".join("1" if f else "0" for f in variant)
             exec(  # noqa: S102 — the source is generated from decode
@@ -1055,17 +1112,20 @@ def block_cache_for(exe, cfg: MachineConfig) -> BlockCache:
     return bc
 
 
-def warm(exe, cfg: MachineConfig) -> int:
-    """Pre-compile the plain-variant block table for ``exe`` on ``cfg``.
+def warm(exe, cfg: MachineConfig, profiled: bool = False) -> int:
+    """Pre-compile the block table for ``exe`` on ``cfg``.
 
     Block compilation is a one-time per-(executable, config) cost that
     would otherwise land inside the first measured run.  Callers that
     build executables ahead of time (:meth:`repro.core.Experiment.build`)
     invoke this so ``engine.run_seconds`` measures simulation, not
-    compilation.  Returns the number of statically compiled blocks.
+    compilation.  It compiles the :meth:`BlockCache.dispatch_closure` of
+    the variant an unbudgeted, unprofiled run uses — or, with
+    ``profiled``, the variant of a run under engine self-profiling.
+    Returns the number of blocks compiled for that variant.
     """
     return block_cache_for(exe, cfg).compiled_count(
-        (False, False, False, False)
+        (False, False, False, profiled)
     )
 
 

@@ -79,14 +79,16 @@ from repro import faults, workloads
 from repro.arch import available_machines, get_machine
 from repro.core import Experiment, ExperimentalSetup
 from repro.core.bias import env_size_study, link_order_study, sample_link_orders
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, SetupError
 from repro.core.randomization import (
     evaluate_with_randomization,
     paired_random_setups,
 )
 from repro.core.report import render_series, render_table
 from repro.core.runner import RunnerConfig, SweepRunner
+from repro.core.setup import env_sweep
 from repro.core.survey import generate_corpus, survey_table
+from repro.os.environment import Environment
 
 
 def _setup_from_args(args: argparse.Namespace, opt_level: int) -> ExperimentalSetup:
@@ -105,6 +107,20 @@ def _add_setup_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--compiler", default="gcc", choices=["gcc", "icc"])
     parser.add_argument("--size", default="test", choices=["test", "train", "ref"])
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _check_env_args(args: argparse.Namespace) -> None:
+    """Refuse environment sizes no setup can reach before anything runs
+    (``run --env-bytes``; the env sweeps of ``study``, ``archive`` and
+    ``submit``).  Raises :class:`SetupError`; :func:`main` turns it into
+    an argparse usage error (exit 2)."""
+    env_bytes = getattr(args, "env_bytes", None)
+    if env_bytes is not None:
+        problem = Environment.size_problem(env_bytes, Environment.typical())
+        if problem is not None:
+            raise SetupError(f"--env-bytes {env_bytes} is unreachable: {problem}")
+    if hasattr(args, "env_start") and getattr(args, "parameter", "env") == "env":
+        env_sweep(args.env_start, args.env_stop, args.env_step)
 
 
 def _positive_int(text: str) -> int:
@@ -1650,6 +1666,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        _check_env_args(args)
+    except SetupError as exc:
+        parser.error(str(exc))
     try:
         return args.func(args)
     except ReproError as exc:

@@ -23,6 +23,8 @@ StorageWriteError    fatal      durable artifact could not be written
 JournalWriteError    fatal      journal append failed (path + record index)
 StatsError           fatal      degenerate sample handed to an inference
                                 routine (n < 2, zero variance, bad level)
+SetupError           fatal      requested setup cannot be realised (e.g.
+                                an unreachable environment size)
 ===================  =========  ============================================
 
 See ``docs/robustness.md`` for how the sweep runner consumes the
@@ -35,6 +37,7 @@ from repro._errors import (
     JournalWriteError,
     ReproError,
     RunTimeout,
+    SetupError,
     SimulationError,
     StatsError,
     StorageWriteError,
@@ -49,6 +52,7 @@ __all__ = [
     "JournalWriteError",
     "ReproError",
     "RunTimeout",
+    "SetupError",
     "SimulationError",
     "StatsError",
     "StorageWriteError",

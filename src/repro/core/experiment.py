@@ -7,7 +7,8 @@ against the workload's Python reference — so a miscompilation can never
 masquerade as a performance result.
 
 Builds and measurements are memoized: sweeping 100 environment sizes
-compiles twice (O2 and O3), not 200 times.
+compiles twice (O2 and O3), not 200 times, and sweeping link orders
+compiles each module once per (compiler, opt level) and only relinks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro._errors import BuildError, SimulationError, VerificationError
 from repro.arch.counters import PerfCounters, RunResult
 from repro.arch.engine import execute, fastpath_enabled
 from repro.core.setup import ExperimentalSetup
-from repro.isa.program import Executable
+from repro.isa.program import Executable, Module
 from repro.obs import metrics as obs_metrics
 from repro.obs import perf as obs_perf
 from repro.obs import trace as obs_trace
@@ -82,6 +83,11 @@ class Experiment:
         self._bindings = workload.input_for(size, seed)
         self._expected: Optional[int] = None
         self._build_cache: Dict[tuple, Executable] = {}
+        #: (compiler, opt level) -> compiled modules.  Link order and
+        #: function alignment are link-time choices and ``link`` never
+        #: mutates a module, so every build key sharing a compiler and
+        #: opt level links the same modules.
+        self._module_cache: Dict[tuple, List[Module]] = {}
         self._run_cache: Dict[ExperimentalSetup, Measurement] = {}
         #: Optional content-addressed store (see :meth:`attach_store`).
         self._store = None
@@ -139,11 +145,7 @@ class Experiment:
                 setup=setup.describe(),
             ):
                 try:
-                    modules = compile_program(
-                        dict(self.workload.sources),
-                        opt_level=setup.opt_level,
-                        profile=setup.compiler,
-                    )
+                    modules = self._modules(setup)
                     layout = LinkLayout(
                         function_alignment=setup.function_alignment
                     )
@@ -173,8 +175,26 @@ class Experiment:
                 category="toolchain",
                 workload=self.workload.name,
             ):
-                blockcache.warm(exe, setup.machine_config())
+                blockcache.warm(
+                    exe,
+                    setup.machine_config(),
+                    profiled=obs_perf.engine_profile() is not None,
+                )
         return exe
+
+    def _modules(self, setup: ExperimentalSetup) -> List[Module]:
+        """The workload's compiled modules for ``setup`` (memoized per
+        compiler and opt level)."""
+        key = (setup.compiler, setup.opt_level)
+        modules = self._module_cache.get(key)
+        if modules is None:
+            modules = compile_program(
+                dict(self.workload.sources),
+                opt_level=setup.opt_level,
+                profile=setup.compiler,
+            )
+            self._module_cache[key] = modules
+        return modules
 
     # -- running ----------------------------------------------------------
 
@@ -232,12 +252,15 @@ class Experiment:
         reg.counter("engine.runs").inc()
         reg.counter("engine.instructions").inc(result.counters.instructions)
         reg.counter("engine.simulated_cycles").inc(result.counters.cycles)
-        reg.histogram("engine.run_seconds").observe(wall)
-        if wall > 0:
-            # Retirement rate of the most recent run: the headline
-            # throughput figure for "how fast is the lab itself?".
+        run_seconds = reg.histogram("engine.run_seconds")
+        run_seconds.observe(wall)
+        if run_seconds.total > 0:
+            # Retirement rate over every run so far (total instructions
+            # / total run seconds): the headline throughput figure for
+            # "how fast is the lab itself?".
             reg.gauge("engine.ips").set(
-                round(result.counters.instructions / wall)
+                round(reg.counter("engine.instructions").value
+                      / run_seconds.total)
             )
         if faults.should_inject("counters", fkey):
             result.counters.cycles = -result.counters.cycles
@@ -344,8 +367,9 @@ class Experiment:
         return [self.speedup(b, t) for b, t in pairs]
 
     def clear_caches(self) -> None:
-        """Drop memoized builds and runs (used by ablations that mutate
-        global state between sweeps)."""
+        """Drop memoized modules, builds and runs (used by ablations
+        that mutate global state between sweeps)."""
+        self._module_cache.clear()
         self._build_cache.clear()
         self._run_cache.clear()
 

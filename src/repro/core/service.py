@@ -86,6 +86,7 @@ from repro.core.report import render_series
 from repro.core.runner import RunnerConfig, SweepRunner
 from repro.core.servicewal import ServiceWAL
 from repro.core.session import record_checksum
+from repro.core.setup import env_sweep
 from repro.core import supervisor
 from repro.core.supervisor import DispatchPool, PoolEvent, Task
 from repro._errors import JournalWriteError
@@ -188,8 +189,8 @@ class StudySpec:
                 raise ValueError(f"{name} must be an integer")
         if spec.env_step < 1:
             raise ValueError("env_step must be >= 1")
-        if spec.parameter == "env" and spec.env_stop <= spec.env_start:
-            raise ValueError("env sweep is empty (env_stop <= env_start)")
+        if spec.parameter == "env":
+            env_sweep(spec.env_start, spec.env_stop, spec.env_step)
         if spec.orders < 1:
             raise ValueError("orders must be >= 1")
         if not isinstance(spec.tag, str):

@@ -10,8 +10,9 @@ vary, randomize and report them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
+from repro._errors import SetupError
 from repro.arch.machines import MachineConfig, get_machine
 from repro.os.environment import Environment
 
@@ -98,3 +99,26 @@ class ExperimentalSetup:
 
     def __str__(self) -> str:
         return self.describe()
+
+
+def env_sweep(
+    start: int, stop: int, step: int, base: Optional[Environment] = None
+) -> List[int]:
+    """The environment sizes ``range(start, stop, step)``, validated.
+
+    Raises :class:`~repro.core.errors.SetupError` when the step is not
+    positive, the sweep is empty, or any size is unreachable from
+    ``base`` (default: the setups' typical base environment) — the
+    checks every entry point runs before a study is measured.
+    """
+    if step < 1:
+        raise SetupError(f"env step must be >= 1, got {step}")
+    sizes = list(range(start, stop, step))
+    if not sizes:
+        raise SetupError(f"env sweep is empty (stop {stop} <= start {start})")
+    base = base if base is not None else Environment.typical()
+    for size in sizes:
+        problem = Environment.size_problem(size, base)
+        if problem is not None:
+            raise SetupError(f"env size {size} is unreachable: {problem}")
+    return sizes

@@ -83,16 +83,29 @@ class Environment:
         base = base if base is not None else cls.empty()
         if "Z" in base:
             raise ValueError("base environment already defines the padding var Z")
+        problem = cls.size_problem(total_bytes, base)
+        if problem is not None:
+            raise ValueError(problem)
         deficit = total_bytes - base.total_bytes
         if deficit == 0:
             return cls(dict(base._vars))
-        # "Z=" + value + NUL -> 3 + len(value) bytes.
-        if deficit < 3:
-            raise ValueError(
-                f"cannot reach {total_bytes} bytes from a {base.total_bytes}-byte "
-                f"base (padding needs at least 3 bytes)"
-            )
         return base.with_var("Z", "x" * (deficit - 3))
+
+    @classmethod
+    def size_problem(
+        cls, total_bytes: int, base: Optional["Environment"] = None
+    ) -> Optional[str]:
+        """Why :meth:`of_size` cannot build ``total_bytes`` from ``base``,
+        or None when it can: the size must equal the base's or exceed it
+        by at least the padding variable's 3-byte ``Z=\\0`` footprint."""
+        base_bytes = (base if base is not None else cls.empty()).total_bytes
+        deficit = total_bytes - base_bytes
+        if deficit == 0 or deficit >= 3:
+            return None
+        return (
+            f"cannot reach {total_bytes} bytes from a {base_bytes}-byte "
+            f"base (padding needs at least 3 bytes)"
+        )
 
     def __repr__(self) -> str:
         return f"Environment({self.total_bytes} bytes, {len(self._vars)} vars)"

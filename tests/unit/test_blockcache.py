@@ -273,12 +273,29 @@ class TestTelemetryAndWarm:
         assert bc["fastpath_runs"] == 0
         assert bc["block_entries"] == 0
 
-    def test_warm_precompiles_static_blocks(self):
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_warm_compiles_the_dispatch_closure(
+        self, monkeypatch, preset
+    ):
+        monkeypatch.setenv(FASTPATH_ENV, "1")
         exe = build_small(2)
-        cfg = get_machine("pentium4")
-        n = blockcache.warm(exe, cfg)
+        cfg = get_machine(preset)
         cache = blockcache.block_cache_for(exe, cfg)
-        assert n == len(cache.static_plans()) > 0
-        assert set(cache.table((False, False, False, False))) == {
-            pl.entry for pl in cache.static_plans()
-        }
+        closure = set(cache.dispatch_closure())
+        static = {pl.entry for pl in cache.static_plans()}
+        assert exe.entry in closure
+        assert closure < static  # in-frame-only leaders are left out
+        plain = (False, False, False, False)
+        assert blockcache.warm(exe, cfg) == len(closure)
+        assert set(cache.table(plain)) == closure
+        # No static leader is compiled late: a warmed run compiles
+        # nothing, on the plain and on the self-profiling variant.
+        assert _run(exe, True, machine=preset)[0] == "ok"
+        assert cache.compiled_count(plain) == len(closure)
+        assert blockcache.warm(exe, cfg, profiled=True) == len(closure)
+        prof = EngineProfile()
+        image = load_process(exe, Environment.typical(), stack_align=4)
+        execute(image, cfg.build(), engine_profile=prof)
+        bc = prof.to_dict()["block_cache"]
+        assert bc["fastpath_runs"] == 1
+        assert bc["compiled_blocks"] == 0

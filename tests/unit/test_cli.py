@@ -6,7 +6,7 @@ import shlex
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _check_env_args, build_parser, main
 
 README = os.path.join(
     os.path.dirname(__file__), os.pardir, os.pardir, "README.md"
@@ -103,6 +103,51 @@ class TestRunCommand:
     def test_unknown_workload_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "doom"])
+
+
+class TestUnreachableEnvSizes:
+    """Environment sizes the padding variable cannot reach from the
+    77-byte base (below it, or 1-2 bytes above it) are refused at parse
+    time as usage errors, before any setup is measured."""
+
+    @pytest.mark.parametrize("argv", [
+        ["study", "perlbench", "env", "--env-start", "0"],
+        ["study", "sphinx3", "env", "--env-start", "78", "--env-stop", "79"],
+        ["study", "sphinx3", "env", "--env-step", "0"],
+        ["study", "sphinx3", "env", "--env-start", "200", "--env-stop", "100"],
+        ["archive", "sphinx3", "out.json", "--env-start", "0"],
+        ["submit", "sphinx3", "env", "--env-start", "0",
+         "--http", "127.0.0.1:1"],
+        ["run", "sphinx3", "--env-bytes", "78"],
+    ], ids=lambda a: " ".join(a[:5]))
+    def test_rejected_at_parse_time(self, argv, capsys, tmp_path,
+                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "out.json")
+
+    def test_message_names_the_size_and_base(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["study", "perlbench", "env", "--env-start", "0"])
+        err = capsys.readouterr().err
+        assert "env size 0 is unreachable" in err
+        assert "77-byte base" in err
+
+    def test_link_study_ignores_env_range(self):
+        args = build_parser().parse_args(
+            ["study", "sphinx3", "link", "--env-start", "0"])
+        _check_env_args(args)  # env args are unused by a link study
+
+    def test_reachable_boundaries_accepted(self):
+        for argv in (["run", "sphinx3", "--env-bytes", "77"],
+                     ["run", "sphinx3", "--env-bytes", "80"],
+                     ["study", "sphinx3", "env", "--env-start", "77",
+                      "--env-stop", "81", "--env-step", "3"]):
+            _check_env_args(build_parser().parse_args(argv))
 
 
 class TestStudyCommand:

@@ -1,11 +1,19 @@
 """Unit tests: ExperimentalSetup and Experiment."""
 
+import itertools
+
 import pytest
 
 from repro import workloads
 from repro.arch import core2
+from repro.arch.engine import FASTPATH_ENV
 from repro.core import Experiment, ExperimentalSetup, VerificationError
+from repro.core.errors import SetupError
+from repro.core.setup import env_sweep
+from repro.obs import metrics as obs_metrics
 from repro.os import Environment
+from repro.toolchain.compiler import compile_program
+from repro.toolchain.linker import LinkLayout, link
 
 
 class TestExperimentalSetup:
@@ -104,3 +112,100 @@ class TestExperiment:
         exp._expected = exp.expected + 1  # sabotage the oracle
         with pytest.raises(VerificationError):
             exp.run(base_setup.with_changes(env_bytes=3000))
+
+
+class TestEnvSweep:
+    def test_sizes_of_a_reachable_sweep(self):
+        assert env_sweep(100, 164, 32) == [100, 132]
+        assert env_sweep(77, 81, 3) == [77, 80]  # base size and base + 3
+
+    @pytest.mark.parametrize("start, stop, step, why", [
+        (0, 100, 16, "env size 0 is unreachable"),
+        (78, 80, 1, "env size 78 is unreachable"),
+        (100, 164, 0, "env step must be >= 1"),
+        (200, 100, 16, "env sweep is empty"),
+    ])
+    def test_rejected_with_a_typed_error(self, start, stop, step, why):
+        with pytest.raises(SetupError, match=why):
+            env_sweep(start, stop, step)
+
+    def test_base_environment_sets_the_floor(self):
+        assert env_sweep(0, 1, 1, base=Environment.empty()) == [0]
+
+
+def _image(exe):
+    """Every field of an executable, placed functions as plain tuples."""
+    fields = dict(vars(exe))
+    fields["placed"] = [
+        tuple(getattr(pf, slot) for slot in type(pf).__slots__)
+        for pf in exe.placed
+    ]
+    return fields
+
+
+class TestModuleReuse:
+    """Link-order sweeps compile each module once per (compiler, opt
+    level) and relink; the relinked executable must be exactly what a
+    fresh compile + link produces."""
+
+    @pytest.mark.parametrize("name", ["perlbench", "sjeng"])
+    def test_cached_modules_link_to_a_fresh_build(self, name, monkeypatch):
+        monkeypatch.setenv(FASTPATH_ENV, "0")  # builds only, no warm
+        wl = workloads.get(name)
+        exp = Experiment(wl, size="test", seed=0)
+        units = obs_metrics.counter("toolchain.units_compiled")
+        before = units.value
+        orders = list(itertools.permutations(wl.module_names()))
+        for opt in (2, 3):
+            for order in orders:
+                setup = ExperimentalSetup(opt_level=opt, link_order=order)
+                cached = exp.build(setup)
+                fresh = link(
+                    compile_program(dict(wl.sources), opt_level=opt,
+                                    profile="gcc"),
+                    order=order,
+                    layout=LinkLayout(
+                        function_alignment=setup.function_alignment),
+                )
+                want = _image(fresh)
+                assert set(want) >= {
+                    "ops", "rds", "ras", "rbs", "imms", "targets", "addrs",
+                    "sizes", "symbols", "placed", "data_addrs", "data_init",
+                    "data_kinds", "data_counts"}
+                got = _image(cached)
+                for field in want:
+                    assert got[field] == want[field], field
+        # One compile per unit per opt level in the experiment, plus the
+        # fresh reference builds made above.
+        modules = len(wl.module_names())
+        assert units.value - before == 2 * modules + 2 * len(orders) * modules
+
+    def test_clear_caches_drops_the_module_cache(self):
+        wl = workloads.get("sphinx3")
+        exp = Experiment(wl, size="test", seed=0)
+        units = obs_metrics.counter("toolchain.units_compiled")
+        modules = len(wl.module_names())
+        orders = list(itertools.permutations(wl.module_names()))[:2]
+        before = units.value
+        for order in orders:
+            exp.build(ExperimentalSetup(link_order=order))
+        assert units.value - before == modules
+        exp.build(ExperimentalSetup(compiler="icc", link_order=orders[0]))
+        assert units.value - before == 2 * modules  # new compiler, new key
+        exp.clear_caches()
+        exp.build(ExperimentalSetup(link_order=orders[1]))
+        assert units.value - before == 3 * modules
+
+
+class TestEngineIpsGauge:
+    def test_gauge_is_total_instructions_over_total_run_seconds(
+        self, base_setup
+    ):
+        exp = Experiment(workloads.get("sphinx3"), size="test", seed=0)
+        with obs_metrics.scoped() as reg:
+            for env in (100, 132, 164):
+                exp.run(base_setup.with_changes(env_bytes=env))
+            total_s = reg.histogram("engine.run_seconds").total
+            assert reg.histogram("engine.run_seconds").count == 3
+            assert reg.gauge("engine.ips").value == round(
+                reg.counter("engine.instructions").value / total_s)

@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro import faults, workloads
-from repro._errors import ArchiveCorruption
+from repro._errors import ArchiveCorruption, SetupError
 from repro.core import Experiment, ExperimentalSetup
 from repro.core import distributed as dist
 from repro.core import service as svc
@@ -158,6 +158,21 @@ class TestStudySpec:
     def test_from_dict_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             svc.StudySpec.from_dict(bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"workload": WORKLOAD, "env_start": 0},
+        {"workload": WORKLOAD, "env_start": 78, "env_stop": 80},
+        {"workload": WORKLOAD, "env_start": 77, "env_stop": 100,
+         "env_step": 1},  # 77 is reachable, 78 is not
+    ])
+    def test_from_dict_rejects_unreachable_env_sizes(self, bad):
+        with pytest.raises(SetupError, match="unreachable"):
+            svc.StudySpec.from_dict(bad)
+
+    def test_link_spec_ignores_env_range(self):
+        spec = svc.StudySpec.from_dict(
+            {"workload": WORKLOAD, "parameter": "link", "env_start": 0})
+        assert spec.env_start == 0
 
     def test_build_matches_the_cli_construction(self):
         """Byte identity starts here: the spec must materialise the
