@@ -104,7 +104,8 @@ class StatsError(ReproError, ValueError):
 
 class SetupError(ReproError, ValueError):
     """A requested setup cannot be realised, e.g. an environment size
-    the padding variable cannot reach from the base environment.
+    the padding variable cannot reach from the base environment, or a
+    machine whose cost is not a whole number of centicycles.
 
     Raised where a study spec or command line enters the lab, before
     anything is measured, so a bad request is refused instead of run and

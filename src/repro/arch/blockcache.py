@@ -32,16 +32,17 @@ tax in two layers:
    at most one window guard and two line guards, everything else is a
    memoized straight-line schedule keyed by the block's alignment.
 
-**Byte-identity is the contract.**  ``cycles`` is a float accumulated
-by ordered ``+=`` in the reference loop; float addition is not
-associative, so the generated code replays the *exact same sequence of
-float additions* (constants are folded only where the reference itself
-computes the sum before adding, e.g. ``taken_cycles + call_extra``).
-Counters, ``pc_cycles``/``function_cycles`` attribution, trap types and
-messages, predictor/cache side effects and ``RunTimeout`` behaviour are
-replicated instruction-for-instruction; ``tests/unit/test_blockcache.py``
-pins equality against ``REPRO_ENGINE_FASTPATH=0`` on every machine
-preset.  See ``docs/engine.md`` for the full derivation.
+**Byte-identity is the contract.**  Both paths count time in whole
+centicycles held in a float, so every partial sum is exact (below 2**53)
+and the order of additions cannot change the result.  The generator
+therefore folds a block's unconditional costs into one constant charged
+once per exit; variants that read ``cycles`` around every instruction
+(cycle budget, profiling) charge it per instruction.  Counters,
+``pc_cycles``/``function_cycles`` attribution, trap types and messages,
+predictor/cache side effects and ``RunTimeout`` behaviour are replicated
+instruction-for-instruction; ``tests/unit/test_blockcache.py`` pins
+equality against ``REPRO_ENGINE_FASTPATH=0`` on every machine preset.
+See ``docs/engine.md`` for the full derivation.
 """
 
 from __future__ import annotations
@@ -54,7 +55,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._errors import RunTimeout, SimulationError
 from repro.arch import engine as _engine
-from repro.arch.counters import PerfCounters, RunResult, TALLY_FIELDS
+from repro.arch.counters import (
+    CENTI,
+    PerfCounters,
+    RunResult,
+    TALLY_FIELDS,
+    centicycles,
+)
 from repro.arch.machines import Machine, MachineConfig
 from repro.os.loader import ProcessImage
 
@@ -116,9 +123,15 @@ def _static_leaders(ops, targets, entry: int) -> set:
     return leaders
 
 
-def _lit(value) -> str:
-    """Exact source literal for a machine constant (floats round-trip)."""
-    return repr(value)
+def _cc(cycles: float) -> int:
+    """A machine cost in whole centicycles, for compile-time folding."""
+    return int(centicycles(cycles))
+
+
+def _lit(cycles: float) -> str:
+    """Source literal for a machine cost in centicycles: a float, so the
+    add on the float accumulator stays on CPython's float fast path."""
+    return repr(centicycles(cycles))
 
 
 class BlockCache:
@@ -561,10 +574,11 @@ class BlockCache:
 
         Walks the segment once, tracking the fetch window, cache line
         and pending-load register symbolically; dynamic guards are
-        emitted only while a quantity is unknown, fixed costs are
-        emitted as unconditional float adds in reference order, and
-        event tallies that are unconditional fold into one batched
-        update per exit.  Exits come in three shapes: a static target
+        emitted only while a quantity is unknown, unconditional costs
+        fold into one pending constant charged where ``cycles`` is read
+        (each exit, or each instruction in the budget and profiling
+        variants), and event tallies that are unconditional fold into
+        one batched update per exit.  Exits come in three shapes: a static target
         equal to ``entry`` re-enters the enclosing ``while`` with
         ``continue``; the continuation exit of a non-final chain
         segment (``falls``) reconciles the state locals and falls
@@ -578,19 +592,25 @@ class BlockCache:
         blen = len(pcs)
         A = out.append
 
-        ISSUE = _lit(cfg.issue_cycles)
-        WINC = _lit(cfg.window_cycles)
-        STR = _lit(cfg.straddle_cycles)
-        LU = _lit(cfg.load_use_penalty)
-        MULX = _lit(cfg.mul_extra)
-        DIVX = _lit(cfg.div_extra)
+        # Costs in centicycles: ints are folded into ``pend`` at
+        # generation time, literals are charged behind dynamic guards.
+        ISSUE = _cc(cfg.issue_cycles)
+        WINC = _cc(cfg.window_cycles)
+        STR = _cc(cfg.straddle_cycles)
+        LU = _cc(cfg.load_use_penalty)
+        MULX = _cc(cfg.mul_extra)
+        DIVX = _cc(cfg.div_extra)
+        TAK = _cc(cfg.taken_branch_cycles)
+        CALLX = _cc(cfg.call_extra)
+        RETX = _cc(cfg.ret_extra)
+        WINC_L = _lit(cfg.window_cycles)
+        LU_L = _lit(cfg.load_use_penalty)
         MISP = _lit(cfg.mispredict_cycles)
-        TAK = _lit(cfg.taken_branch_cycles)
         UNAL = _lit(cfg.unaligned_cycles)
         SPL = _lit(cfg.split_line_cycles)
-        # The reference computes these sums before the single add.
-        CALLSUM = _lit(cfg.taken_branch_cycles + cfg.call_extra)
-        RETSUM = _lit(cfg.taken_branch_cycles + cfg.ret_extra)
+        # Budget guards and profiling deltas read ``cycles`` around every
+        # instruction, so those variants flush the fold per instruction.
+        per_insn = budget or profiling
 
         GSH = cfg.predictor_kind == "gshare"
         PMASK = (1 << cfg.predictor_table_bits) - 1
@@ -624,21 +644,31 @@ class BlockCache:
         sim_cw: Any = "?"
         sim_cl: Any = "?"
         llr: Any = "llr"  # "llr" = dynamic entry value, else an int
+        # Unconditional centicycles charged since ``cycles`` was last
+        # brought up to date; emitted as one add wherever it is read.
+        pend = 0
+
+        def flush(p2: str) -> None:
+            """Bring ``cycles`` up to date with one add of the fold."""
+            nonlocal pend
+            if pend:
+                A(p2 + f"cycles += {float(pend)!r}")
+            pend = 0
 
         def lu_check(p2: str, regs_checked: List[int]) -> None:
             """Load-use penalty: dynamic guard or static fold."""
+            nonlocal pend
             if llr == "llr":
                 cond = " or ".join(f"llr == {r}" for r in regs_checked)
                 A(p2 + f"if {cond}:")
-                A(p2 + f"    cycles += {LU}")
+                A(p2 + f"    cycles += {LU_L}")
             elif llr >= 0 and llr in regs_checked:
-                A(p2 + f"cycles += {LU}")
+                pend += LU
 
         def data_access(p2: str, base_expr: str) -> None:
             """L1D access: inline MRU probe (hit counted locally and
-            flushed on frame exit), full hierarchy walk on miss.  An
-            MRU hit adds 0.0 extra cycles in the reference, so skipping
-            the float add is exact."""
+            flushed on frame exit), full hierarchy walk on miss (an MRU
+            hit costs nothing extra in the reference)."""
             A(p2 + f"_ln = {base_expr} >> 6")
             A(p2 + "_w = ds[_ln & dm]")
             A(p2 + "if _w and _w[0] == _ln:")
@@ -653,14 +683,16 @@ class BlockCache:
             term_prof: bool = True,
             cont: bool = False,
         ) -> None:
-            """Per-exit epilogue: profiling delta, batched tallies,
-            self-profiling updates, then return / continue / fall-through.
+            """Per-exit epilogue: the fold's one add, profiling delta,
+            batched tallies, self-profiling updates, then return /
+            continue / fall-through.
 
             ``term_prof`` is False for leader-boundary fall-through
             exits, whose last instruction already emitted its own
             profiling epilogue in the main walk.  ``cont`` marks the
             segment's continuation exit (eligible to fall through to
             the next chain segment when ``falls``)."""
+            flush(p2)
             if profiling and term_prof:
                 if fcc and pcc_on:
                     A(p2 + "_d = cycles - _cb")
@@ -749,7 +781,8 @@ class BlockCache:
                 )
                 A(pad + "if cycles > bud:")
                 A(
-                    pad + '    raise RunTimeout(f"cycle budget {bud:.0f}'
+                    pad + '    raise RunTimeout(f"cycle budget'
+                    f' {{bud / {CENTI}:.0f}}'
                     " exceeded after {executed + %d} instructions\")" % k
                 )
             if profiling:
@@ -764,7 +797,7 @@ class BlockCache:
                 lend = end >> 6
                 if sim_cw == "?":
                     A(pad + f"if cw != {w}:")
-                    A(pad + f"    cycles += {WINC}")
+                    A(pad + f"    cycles += {WINC_L}")
                     A(pad + f"    cnt[{_T['window_fetches']}] += 1")
                     A(pad + f"    if cl != {ln}:")
                     A(pad + f"        cycles += ai({ln})")
@@ -772,7 +805,7 @@ class BlockCache:
                     sim_cw = w
                     sim_cl = "?"
                 elif sim_cw != w:
-                    A(pad + f"cycles += {WINC}")
+                    pend += WINC
                     statics[_T["window_fetches"]] += 1
                     if sim_cl == "?":
                         A(pad + f"if cl != {ln}:")
@@ -783,7 +816,7 @@ class BlockCache:
                     sim_cl = ln
                     sim_cw = w
                 if wend != sim_cw:
-                    A(pad + f"cycles += {STR}")
+                    pend += STR
                     statics[_T["window_straddles"]] += 1
                     if sim_cl == "?":
                         A(pad + f"if cl != {lend}:")
@@ -794,7 +827,7 @@ class BlockCache:
                     sim_cl = lend
                     sim_cw = wend
 
-            A(pad + f"cycles += {ISSUE}")
+            pend += ISSUE
 
             # ---- execute ----
             if op == 0:  # CONST
@@ -816,11 +849,11 @@ class BlockCache:
                 elif op == 3:
                     A(pad + f"_r{rd} = {va} - {vb}")
                 elif op == 4:
-                    A(pad + f"cycles += {MULX}")
+                    pend += MULX
                     A(pad + f"_r = {va} * {vb}")
                     wrap_any(pad, rd)
                 elif op in (5, 6):
-                    A(pad + f"cycles += {DIVX}")
+                    pend += DIVX
                     A(pad + f"va = {va}")
                     A(pad + f"vb = {vb}")
                     word = "division" if op == 5 else "modulo"
@@ -875,7 +908,7 @@ class BlockCache:
                 if op == 16:
                     A(pad + f"_r{rd} = {va} + {imm}")
                 elif op == 17:
-                    A(pad + f"cycles += {MULX}")
+                    pend += MULX
                     A(pad + f"_r = {va} * {imm}")
                     wrap_any(pad, rd)
                 elif op == 18:
@@ -974,11 +1007,13 @@ class BlockCache:
                 A(p2 + f"    cnt[{_T['mispredicts']}] += 1")
                 A(p2 + f"    cycles += {MISP}")
                 A(p2 + f"cnt[{_T['taken_branches']}] += 1")
-                A(p2 + f"cycles += {TAK}")
                 llr = -1
                 if cfg.has_lsd and self._lsd_eligible[p]:
                     self._emit_lsd_bookkeeping(out, p2, p, tgt, covered)
+                shared = pend
+                pend += TAK
                 emit_exit(p2, str(tgt), p)
+                pend = shared
                 A(pad + "if _c > 0:")
                 A(pad + f"    {pslot} = _c - 1")
                 if GSH:
@@ -989,7 +1024,7 @@ class BlockCache:
                 emit_exit(pad, str(p + 1), p, cont=True)
                 return
             elif op == 30:  # JMP
-                A(pad + f"cycles += {TAK}")
+                pend += TAK
                 llr = -1
                 if cfg.has_lsd and self._lsd_eligible[p]:
                     self._emit_lsd_bookkeeping(out, pad, p, tgt, covered)
@@ -997,7 +1032,7 @@ class BlockCache:
                 return
             elif op == 31:  # CALL
                 statics[_T["calls"]] += 1
-                A(pad + f"cycles += {CALLSUM}")
+                pend += TAK + CALLX
                 A(pad + "sp = _r15 - 8")
                 A(pad + "_r15 = sp")
                 A(pad + "if sp & 7:")
@@ -1015,7 +1050,7 @@ class BlockCache:
                 return
             elif op == 32:  # RET
                 statics[_T["returns"]] += 1
-                A(pad + f"cycles += {RETSUM}")
+                pend += TAK + RETX
                 A(pad + "sp = _r15")
                 A(pad + "_ra = mg(sp)")
                 A(pad + "if _ra is None:")
@@ -1049,7 +1084,9 @@ class BlockCache:
                 emit_exit(pad, "None", p)
                 return
 
-            # Non-terminator per-instruction profiling epilogue.
+            # Non-terminator per-instruction epilogue.
+            if per_insn:
+                flush(pad)
             if profiling:
                 if fcc and pcc_on:
                     A(pad + "_d = cycles - _cb")
@@ -1168,7 +1205,7 @@ def execute_fast(
     hierarchy = machine.hierarchy
     cnt = [0] * len(TALLY_FIELDS)
     lsd = [0, -1, -1, 0, -1]
-    bud = max_cycles if max_cycles is not None else float("inf")
+    bud = max_cycles * CENTI if max_cycles is not None else float("inf")
     fcy: Dict[str, float] = (
         {pf.name: 0.0 for pf in exe.placed} if profile_functions else {}
     )
@@ -1236,7 +1273,7 @@ def execute_fast(
             unique=len(funcs),
         )
     c = PerfCounters()
-    c.cycles = cycles
+    c.cycles = cycles / CENTI
     c.instructions = executed
     c.set_tallies(cnt)
     c.l1i_misses = hierarchy.l1i.misses
@@ -1245,7 +1282,9 @@ def execute_fast(
     return RunResult(
         exit_value=regs[0],
         counters=c,
-        function_cycles=fcy,
+        function_cycles={name: value / CENTI for name, value in fcy.items()},
         trace=(),
-        pc_cycles=tuple(pcc) if pcc is not None else (),
+        pc_cycles=(
+            tuple(value / CENTI for value in pcc) if pcc is not None else ()
+        ),
     )

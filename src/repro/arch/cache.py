@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.arch.counters import centicycles
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -123,7 +125,8 @@ class CacheHierarchy:
     """L1I + L1D backed by a shared L2 (optionally None = perfect L2).
 
     :meth:`access_instruction` / :meth:`access_data` return the *extra
-    cycles* beyond an L1 hit, from the machine's latency settings.
+    cost* beyond an L1 hit in centicycles (the engine's unit), from the
+    machine's latency settings, which are given in cycles.
     """
 
     __slots__ = (
@@ -149,8 +152,8 @@ class CacheHierarchy:
         self.l1i = Cache(l1i)
         self.l1d = Cache(l1d)
         self.l2 = Cache(l2) if l2 is not None else None
-        self.lat_l2 = lat_l2
-        self.lat_mem = lat_mem
+        self.lat_l2 = centicycles(lat_l2)
+        self.lat_mem = centicycles(lat_mem)
         # Hot-path bindings: the accessors below are called for every
         # modelled memory access, so the L1 MRU probe reads the set
         # lists directly instead of chasing two attribute levels.
@@ -162,7 +165,7 @@ class CacheHierarchy:
         self._d_mask = self.l1d._set_mask
 
     def access_instruction(self, line: int) -> float:
-        """Extra cycles (beyond an L1I hit) for fetching ``line``."""
+        """Extra centicycles (beyond an L1I hit) for fetching ``line``."""
         ways = self._i_sets[line & self._i_mask]
         if ways and ways[0] == line:
             self.l1i.hits += 1
@@ -174,7 +177,7 @@ class CacheHierarchy:
         return self.lat_mem
 
     def access_data(self, line: int) -> float:
-        """Extra cycles (beyond an L1D hit) for accessing ``line``."""
+        """Extra centicycles (beyond an L1D hit) for accessing ``line``."""
         ways = self._d_sets[line & self._d_mask]
         if ways and ways[0] == line:
             self.l1d.hits += 1

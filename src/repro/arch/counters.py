@@ -11,6 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
+#: Centicycles (0.01 cycle) per cycle: the engine's internal time unit.
+#: Every machine cost is a whole number of centicycles, so the engine's
+#: float accumulators hold integral values and every sum is exact.
+CENTI = 100
+
+
+def centicycles(cycles: float) -> float:
+    """``cycles`` as a whole number of centicycles, as an integral float."""
+    return float(round(cycles * CENTI))
+
 #: The engine's per-run event tallies, in canonical order.  The fast
 #: path (:mod:`repro.arch.blockcache`) accumulates these in a flat list
 #: indexed by position and finalizes through

@@ -23,6 +23,12 @@ Cost model summary (all per-machine constants from
 - conditional branches consult the predictor (``mispredict_cycles``);
   taken control transfers pay ``taken_branch_cycles``; calls and returns
   pay extras and generate real stack traffic.
+
+Time is kept in whole **centicycles** (0.01 cycle) inside the engine:
+every cost constant is a whole number of centicycles
+(:class:`~repro.arch.machines.MachineConfig` enforces it), so the float
+accumulators hold integral values and every sum is exact, in any order.
+Cycles appear only where the :class:`RunResult` is built.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import time
 from typing import Any, Dict, List, Optional
 
 from repro._errors import RunTimeout, SimulationError
-from repro.arch.counters import PerfCounters, RunResult
+from repro.arch.counters import CENTI, PerfCounters, RunResult, centicycles
 from repro.arch.machines import Machine, MachineConfig
 from repro.isa.program import Executable
 from repro.os.loader import ProcessImage
@@ -336,19 +342,20 @@ def execute(
     access_data = hierarchy.access_data
     access_instruction = hierarchy.access_instruction
 
-    issue = cfg.issue_cycles
-    mul_extra = cfg.mul_extra
-    div_extra = cfg.div_extra
-    load_use = cfg.load_use_penalty
+    # Every cost below is in centicycles, as are the cache latencies.
+    issue = centicycles(cfg.issue_cycles)
+    mul_extra = centicycles(cfg.mul_extra)
+    div_extra = centicycles(cfg.div_extra)
+    load_use = centicycles(cfg.load_use_penalty)
     window_shift = cfg.fetch_window_bytes.bit_length() - 1
-    window_cycles = cfg.window_cycles
-    straddle_cycles = cfg.straddle_cycles
-    taken_cycles = cfg.taken_branch_cycles
-    mispredict_cycles = cfg.mispredict_cycles
-    unaligned_cycles = cfg.unaligned_cycles
-    split_cycles = cfg.split_line_cycles
-    call_extra = cfg.call_extra
-    ret_extra = cfg.ret_extra
+    window_cycles = centicycles(cfg.window_cycles)
+    straddle_cycles = centicycles(cfg.straddle_cycles)
+    taken_cycles = centicycles(cfg.taken_branch_cycles)
+    mispredict_cycles = centicycles(cfg.mispredict_cycles)
+    unaligned_cycles = centicycles(cfg.unaligned_cycles)
+    split_cycles = centicycles(cfg.split_line_cycles)
+    call_extra = centicycles(cfg.call_extra)
+    ret_extra = centicycles(cfg.ret_extra)
     has_lsd = cfg.has_lsd
     lsd_warmup = cfg.lsd_warmup
     lsd_eligible = (
@@ -396,7 +403,9 @@ def execute(
         ep_clock = time.perf_counter_ns
         ep_t = ep_clock()
 
-    cycle_budget = max_cycles if max_cycles is not None else float("inf")
+    cycle_budget = (
+        max_cycles * CENTI if max_cycles is not None else float("inf")
+    )
 
     pc = exe.entry
     while True:
@@ -409,7 +418,7 @@ def execute(
             )
         if cycles > cycle_budget:
             raise RunTimeout(
-                f"cycle budget {cycle_budget:.0f} exceeded after "
+                f"cycle budget {cycle_budget / CENTI:.0f} exceeded after "
                 f"{executed} instructions"
             )
         cycles_before = cycles
@@ -714,7 +723,7 @@ def execute(
 
     if eprof_on:
         engine_profile.finish(exe)
-    c.cycles = cycles
+    c.cycles = cycles / CENTI
     c.instructions = executed
     c.loads = loads
     c.stores = stores
@@ -735,7 +744,13 @@ def execute(
     return RunResult(
         exit_value=regs[0],
         counters=c,
-        function_cycles=func_cycles,
+        function_cycles={
+            name: value / CENTI for name, value in func_cycles.items()
+        },
         trace=tuple(trace),
-        pc_cycles=tuple(pc_cycles) if pc_cycles is not None else (),
+        pc_cycles=(
+            tuple(value / CENTI for value in pc_cycles)
+            if pc_cycles is not None
+            else ()
+        ),
     )

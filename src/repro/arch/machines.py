@@ -13,7 +13,10 @@ Three presets mirror the paper's platforms:
 - :func:`m5_o3cpu` — the m5 simulator's O3CPU: textbook fetch/caches, no
   LSD, modest penalties.
 
-All cost constants are in cycles.  They are calibration points of the
+All cost constants are in cycles, and each must be a whole number of
+centicycles (0.01 cycle): the engine counts time in exact centicycles
+(:data:`~repro.arch.counters.CENTI`), and :class:`MachineConfig` refuses
+a cost it would have to round.  They are calibration points of the
 *model*, not claims about the real parts; tests pin the relationships
 that matter (e.g. P4 mispredict ≫ Core 2 mispredict).
 
@@ -30,11 +33,32 @@ DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Optional
 
+from repro._errors import SetupError
 from repro.arch.branch import BranchPredictor, make_predictor
 from repro.arch.cache import CacheConfig, CacheHierarchy
+from repro.arch.counters import CENTI
+
+
+def _is_cost_field(name: str) -> bool:
+    return name.endswith(("_cycles", "_extra")) or name in (
+        "load_use_penalty", "lat_l2", "lat_mem",
+    )
+
+
+def _cost_problem(value) -> Optional[str]:
+    """Why ``value`` is not a valid cost, or None: a cost is a finite,
+    non-negative whole number of centicycles (within 1e-9 cycle)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"must be a number, got {type(value).__name__}"
+    if not math.isfinite(value) or value < 0:
+        return "must be finite and non-negative"
+    if abs(value - round(value * CENTI) / CENTI) > 1e-9:
+        return "must be a whole number of centicycles (0.01 cycle)"
+    return None
 
 
 @dataclass(frozen=True)
@@ -81,6 +105,18 @@ class MachineConfig:
     predictor_kind: str = "gshare"
     predictor_table_bits: int = 14
     predictor_history_bits: int = 12
+
+    def __post_init__(self) -> None:
+        # Also runs for with_overrides() and from_dict(), so no path can
+        # hand the engine a cost it would silently round.
+        for f in fields(self):
+            if _is_cost_field(f.name):
+                value = getattr(self, f.name)
+                problem = _cost_problem(value)
+                if problem is not None:
+                    raise SetupError(
+                        f"machine {self.name!r}: {f.name}={value!r} {problem}"
+                    )
 
     def build(self) -> "Machine":
         """Instantiate fresh mutable machine state for one run."""

@@ -71,6 +71,7 @@ harness uses) and exits non-zero on verification failures.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -137,6 +138,25 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _setup_count(text: str) -> int:
+    """``randomized --setups``: a t interval needs two observations."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"randomization needs at least 2 setups, got {value}"
+        )
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text}"
+        )
+    return value
+
+
 def _fault_plan_arg(text: str) -> faults.FaultPlan:
     try:
         return faults.parse_plan(text)
@@ -170,7 +190,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         help="worker processes for the sweep (1 = serial, in-process)",
     )
     parser.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_positive_seconds, default=None,
         help="wall-clock seconds allowed per measurement attempt",
     )
     parser.add_argument(
@@ -178,7 +198,7 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         help="retries for retryable faults before quarantining a setup",
     )
     parser.add_argument(
-        "--hang-timeout", type=float, default=None,
+        "--hang-timeout", type=_positive_seconds, default=None,
         help=(
             "seconds of heartbeat silence before a busy worker is "
             "declared hung and failed over (default: adapt to observed "
@@ -1246,7 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--env-start", type=int, default=100)
     study.add_argument("--env-stop", type=int, default=356)
     study.add_argument("--env-step", type=int, default=16)
-    study.add_argument("--orders", type=int, default=6)
+    study.add_argument("--orders", type=_positive_int, default=6)
     _add_setup_args(study)
     _add_runner_args(study)
     study.set_defaults(func=cmd_study)
@@ -1259,7 +1279,7 @@ def build_parser() -> argparse.ArgumentParser:
     rand.add_argument(
         "--treatment-opt", type=int, default=3, choices=[0, 1, 2, 3]
     )
-    rand.add_argument("--setups", type=int, default=12)
+    rand.add_argument("--setups", type=_setup_count, default=12)
     _add_setup_args(rand)
     _add_runner_args(rand)
     rand.set_defaults(func=cmd_randomized)
@@ -1561,7 +1581,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-setup measurement retry budget (default 2)",
     )
     serve.add_argument(
-        "--timeout", type=float, default=None,
+        "--timeout", type=_positive_seconds, default=None,
         help="per-measurement timeout in seconds",
     )
     serve.add_argument(
@@ -1569,7 +1589,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="agent liveness cadence in seconds (default 0.2)",
     )
     serve.add_argument(
-        "--lease-timeout", type=float, default=None,
+        "--lease-timeout", type=_positive_seconds, default=None,
         help=(
             "fixed lease expiry in seconds (default: adapt to observed "
             "lease durations, like the worker hang deadline)"
@@ -1606,7 +1626,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--env-start", type=int, default=100)
     submit.add_argument("--env-stop", type=int, default=356)
     submit.add_argument("--env-step", type=int, default=16)
-    submit.add_argument("--orders", type=int, default=6)
+    submit.add_argument("--orders", type=_positive_int, default=6)
     _add_setup_args(submit)
     submit.add_argument(
         "--tag", default="",
@@ -1629,7 +1649,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between result polls while waiting (default 0.5)",
     )
     submit.add_argument(
-        "--wait-timeout", type=float, default=None,
+        "--wait-timeout", type=_positive_seconds, default=None,
         help="give up waiting after this many seconds (default: never)",
     )
     submit.add_argument(

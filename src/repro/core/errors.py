@@ -24,7 +24,9 @@ JournalWriteError    fatal      journal append failed (path + record index)
 StatsError           fatal      degenerate sample handed to an inference
                                 routine (n < 2, zero variance, bad level)
 SetupError           fatal      requested setup cannot be realised (e.g.
-                                an unreachable environment size)
+                                an unreachable environment size, or a
+                                machine cost that is not a whole number
+                                of centicycles)
 ===================  =========  ============================================
 
 See ``docs/robustness.md`` for how the sweep runner consumes the

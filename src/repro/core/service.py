@@ -185,7 +185,8 @@ class StudySpec:
         if spec.size not in ("test", "train", "ref"):
             raise ValueError("size must be test, train, or ref")
         for name in ("env_start", "env_stop", "env_step", "orders", "seed"):
-            if not isinstance(getattr(spec, name), int):
+            value = getattr(spec, name)
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer")
         if spec.env_step < 1:
             raise ValueError("env_step must be >= 1")

@@ -10,6 +10,8 @@ bit-equal in every run mode: plain, function and pc profiling, a cycle
 budget that expires mid-run, and a runaway instruction cap.  After the
 variant is warmed, the run must compile no static leader late: every
 block the dispatcher entered at a leader was in the dispatch closure.
+Time is exact on both paths: ``cycles`` is a whole number of
+centicycles, and the pc and function profiles sum to it exactly.
 """
 
 from __future__ import annotations
@@ -62,6 +64,25 @@ def _build(source, opt_level, order, alignment):
                 layout=LinkLayout(function_alignment=alignment))
 
 
+def _centicycles(cycles):
+    """``cycles`` as an int number of centicycles; fails unless it is
+    exactly the double nearest to a whole number of centicycles."""
+    cc = round(cycles * 100)
+    assert cc / 100 == cycles, cycles
+    return cc
+
+
+def _assert_exact(outcome):
+    """Cycle totals are whole centicycles and the profiles add up."""
+    if outcome[0] != "ok":
+        return
+    total = _centicycles(outcome[2]["cycles"])
+    if outcome[3]:
+        assert sum(_centicycles(v) for _, v in outcome[3]) == total
+    if outcome[4]:
+        assert sum(_centicycles(v) for v in outcome[4]) == total
+
+
 def _outcome(exe, preset, env, fast, **kw):
     """("ok", every RunResult field) or ("trap", type, message)."""
     image = load_process(exe, env)
@@ -110,5 +131,6 @@ def test_fast_path_matches_reference(source, opt_level, order, alignment,
         ref = _outcome(exe, preset, env, False, **run_kw)
         fast = _outcome(exe, preset, env, True, **run_kw)
         assert fast == ref, (preset, mode)
+        _assert_exact(fast)  # and so the reference, which it equals
         late = set(cache.table(variant)) - closure
         assert not late & leaders, (preset, mode, sorted(late & leaders))

@@ -91,10 +91,11 @@ class TestByteIdentity:
             profile_pcs=True,
         )
         assert fast == ref
-        # pc attribution is exhaustive: per-pc cycles sum to the total.
+        # pc attribution is exhaustive: per-pc centicycles sum exactly
+        # to the total.
         pc_cycles = fast[4]
-        assert sum(pc_cycles) == pytest.approx(
-            fast[2]["cycles"], rel=1e-12
+        assert sum(round(v * 100) for v in pc_cycles) == round(
+            fast[2]["cycles"] * 100
         )
 
     def test_lsd_coverage_identical(self, exe, monkeypatch):

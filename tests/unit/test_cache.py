@@ -85,6 +85,8 @@ class TestCacheBehaviour:
 
 
 class TestHierarchy:
+    """Latencies are given in cycles; accesses return centicycles."""
+
     def _hierarchy(self):
         return CacheHierarchy(
             l1i=CacheConfig("L1I", 2 * 64 * 2, 64, 2),
@@ -96,14 +98,14 @@ class TestHierarchy:
 
     def test_cold_miss_costs_memory(self):
         h = self._hierarchy()
-        assert h.access_data(7) == 100.0
+        assert h.access_data(7) == 10000.0
 
     def test_l2_hit_after_l1_eviction(self):
         h = self._hierarchy()
         h.access_data(0)
         h.access_data(4)
         h.access_data(8)  # evicts 0 from L1 (set 0), still in L2
-        assert h.access_data(0) == 10.0
+        assert h.access_data(0) == 1000.0
 
     def test_l1_hit_is_free(self):
         h = self._hierarchy()
@@ -117,7 +119,7 @@ class TestHierarchy:
         h.access_instruction(3)
         h.access_instruction(7)
         # A *data* access to line 5 misses L1D but hits the shared L2.
-        assert h.access_data(5) == 10.0
+        assert h.access_data(5) == 1000.0
 
     def test_no_l2_means_flat_latency(self):
         h = CacheHierarchy(
@@ -127,5 +129,5 @@ class TestHierarchy:
             lat_l2=10.0,
             lat_mem=100.0,
         )
-        assert h.access_data(1) == 10.0  # "perfect L2"
+        assert h.access_data(1) == 1000.0  # "perfect L2"
         assert h.access_data(1) == 0.0

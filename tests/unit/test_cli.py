@@ -105,6 +105,43 @@ class TestRunCommand:
             main(["run", "doom"])
 
 
+class TestBadCounts:
+    """Counts and timeouts that cannot describe a real sweep are usage
+    errors (exit 2) at parse time, before anything is built or run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["study", "bzip2", "link", "--orders", "0"],
+        ["study", "bzip2", "link", "--orders", "-2"],
+        ["study", "sphinx3", "env", "--timeout", "-1"],
+        ["study", "sphinx3", "env", "--timeout", "nan"],
+        ["randomized", "bzip2", "--setups", "1"],
+        ["randomized", "bzip2", "--timeout", "0"],
+        ["submit", "bzip2", "link", "--orders", "0",
+         "--http", "127.0.0.1:1"],
+        ["submit", "bzip2", "env", "--wait-timeout", "-1",
+         "--http", "127.0.0.1:1"],
+        ["serve", "--workdir", "svc", "--http", "127.0.0.1:0",
+         "--timeout", "-1"],
+    ], ids=lambda a: " ".join(a[:2] + a[-2:]))
+    def test_rejected_at_parse_time(self, argv, capsys, tmp_path,
+                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not os.path.exists(tmp_path / "svc")
+
+    def test_boundaries_accepted(self):
+        parser = build_parser()
+        args = parser.parse_args(["study", "bzip2", "link", "--orders", "1",
+                                  "--timeout", "0.5"])
+        assert (args.orders, args.timeout) == (1, 0.5)
+        args = parser.parse_args(["randomized", "bzip2", "--setups", "2"])
+        assert args.setups == 2
+
+
 class TestUnreachableEnvSizes:
     """Environment sizes the padding variable cannot reach from the
     77-byte base (below it, or 1-2 bytes above it) are refused at parse

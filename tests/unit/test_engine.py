@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro._errors import RunTimeout
 from repro.arch import SimulationError, compute_lsd_eligible, execute, get_machine
+from repro.arch.engine import FASTPATH_ENV
 from repro.os import Environment, load_process
 
 from tests.conftest import build_small, compile_single, run_exe, SMALL_EXPECTED
@@ -61,6 +63,50 @@ class TestExecution:
             == res.counters.cycles
         )
         assert res.function_cycles["total"] > res.function_cycles["_start"]
+
+
+#: Every cost zeroed except issue: a run then costs instructions x 0.33.
+_ISSUE_ONLY = {
+    "issue_cycles": 0.33,
+    "has_lsd": False,
+    **{
+        name: 0.0
+        for name in (
+            "mul_extra", "div_extra", "load_use_penalty", "call_extra",
+            "ret_extra", "taken_branch_cycles", "mispredict_cycles",
+            "window_cycles", "straddle_cycles", "lat_l2", "lat_mem",
+            "unaligned_cycles", "split_line_cycles",
+        )
+    },
+}
+
+
+class TestExactCycles:
+    @pytest.mark.parametrize("fast", ["0", "1"])
+    def test_hand_computed_program(self, monkeypatch, fast):
+        # CALL main; main's 9 instructions; HALT: 11 x 0.33 = 3.63 exactly
+        # (an ordered float sum of 0.33 gives 3.6300000000000003).
+        exe = compile_single("func main() { return 0; }", opt_level=2)
+        cfg = get_machine("core2").with_overrides(**_ISSUE_ONLY)
+        monkeypatch.setenv(FASTPATH_ENV, fast)
+        plain = execute(load_process(exe, Environment.typical()), cfg.build())
+        assert plain.counters.instructions == 11
+        assert plain.counters.cycles == 3.63
+        res = execute(
+            load_process(exe, Environment.typical()), cfg.build(),
+            profile_functions=True, profile_pcs=True,
+        )
+        assert res.counters.cycles == 3.63
+        assert res.function_cycles == {"_start": 0.66, "main": 2.97}
+        assert res.pc_cycles == (0.33,) * 11
+
+    def test_budget_is_in_cycles(self, small_exe_o2):
+        total = run_exe(small_exe_o2).counters.cycles
+        image = load_process(small_exe_o2, Environment.typical())
+        execute(image, get_machine("core2").build(), max_cycles=total)
+        image = load_process(small_exe_o2, Environment.typical())
+        with pytest.raises(RunTimeout, match=f"cycle budget {total / 2:.0f}"):
+            execute(image, get_machine("core2").build(), max_cycles=total / 2)
 
 
 class TestTraps:

@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.arch import available_machines, core2, get_machine, m5_o3cpu, pentium4
+from repro._errors import SetupError
+from repro.arch import (
+    MachineConfig,
+    available_machines,
+    core2,
+    get_machine,
+    m5_o3cpu,
+    pentium4,
+)
 from repro.toolchain.profiles import (
     GCC,
     ICC,
@@ -55,6 +63,57 @@ class TestMachinePresets:
 
     def test_configs_hashable_for_setups(self):
         assert hash(core2()) == hash(core2())
+
+
+#: The A2 ablation knockouts (benchmarks/bench_a2_microarch.py).
+A2_KNOCKOUTS = (
+    {"unaligned_cycles": 0.0},
+    {"split_line_cycles": 0.0},
+    {"straddle_cycles": 0.0},
+    {"unaligned_cycles": 0.0, "split_line_cycles": 0.0},
+)
+
+
+class TestMachineCosts:
+    """Every cost is a finite, non-negative whole number of centicycles."""
+
+    @pytest.mark.parametrize("name", sorted(available_machines()))
+    def test_presets_are_valid(self, name):
+        cfg = get_machine(name)
+        assert MachineConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("overrides", A2_KNOCKOUTS)
+    def test_a2_knockouts_are_valid(self, overrides):
+        cfg = core2().with_overrides(**overrides)
+        for field, value in overrides.items():
+            assert getattr(cfg, field) == value
+
+    @pytest.mark.parametrize(
+        "field", ["issue_cycles", "mul_extra", "load_use_penalty", "lat_mem"]
+    )
+    @pytest.mark.parametrize("value", [0.333, -1.0, float("inf"), float("nan")])
+    def test_bad_cost_rejected_by_with_overrides(self, field, value):
+        with pytest.raises(SetupError, match=field):
+            core2().with_overrides(**{field: value})
+
+    def test_bad_cost_rejected_by_constructor(self):
+        with pytest.raises(SetupError, match="centicycles"):
+            MachineConfig(name="x", issue_cycles=0.333)
+
+    def test_imported_json_is_not_rounded(self):
+        data = core2().to_dict()
+        data["window_cycles"] = 0.333
+        with pytest.raises(SetupError, match="window_cycles"):
+            MachineConfig.from_dict(data)
+
+    def test_near_centicycle_noise_accepted(self):
+        # 0.1 + 0.2 is 0.30000000000000004: within 1e-9 of 0.30.
+        cfg = core2().with_overrides(issue_cycles=0.1 + 0.2)
+        assert cfg.issue_cycles == 0.1 + 0.2
+
+    def test_non_number_rejected(self):
+        with pytest.raises(SetupError, match="number"):
+            core2().with_overrides(mul_extra="1")
 
 
 class TestCompilerProfiles:

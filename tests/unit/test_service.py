@@ -153,6 +153,9 @@ class TestStudySpec:
         {"workload": WORKLOAD, "env_step": 0},
         {"workload": WORKLOAD, "env_start": 200, "env_stop": 100},
         {"workload": WORKLOAD, "parameter": "link", "orders": 0},
+        {"workload": WORKLOAD, "parameter": "link", "orders": -2},
+        {"workload": WORKLOAD, "parameter": "link", "orders": True},
+        {"workload": WORKLOAD, "parameter": "link", "orders": 2.5},
         {"workload": WORKLOAD, "tag": 3},
     ])
     def test_from_dict_rejects_malformed(self, bad):
