@@ -13,12 +13,17 @@ tax in two layers:
    can enter is decoded *once* into a specialized Python function
    (blocks only ever reached inside another block's frame are never
    dispatched, so they are not compiled on their own): operands, effective
-   immediates, byte addresses, trap messages and per-machine cycle
-   constants are baked in as literals, so the hot loop replays compiled
-   blocks instead of re-decoding instructions.  Code is immutable after
-   load, so the cache is never invalidated for a live ``Executable``;
-   across processes, the result store's ``engine_fingerprint`` hashes
-   this module's source, so any change here invalidates stored results
+   immediates and per-machine cycle constants are baked in as literals,
+   so the hot loop replays compiled blocks instead of re-decoding
+   instructions.  Every value derived from an address or a pc (window
+   and line indices, predictor slots, exit targets, return addresses,
+   profiling keys, trap-message pcs) is a positional parameter of the
+   factory instead, so two links of one program generate the same text
+   for every block whose alignment residues match, and a text-keyed
+   compile memo compiles it once.  Code is immutable after load, so the
+   cache is never invalidated for a live ``Executable``; across
+   processes, the result store's ``engine_fingerprint`` hashes this
+   module's source, so any change here invalidates stored results
    automatically.
 
 2. **Block timing memo** — a block's front-end cost (fetch-window
@@ -51,6 +56,8 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
+from functools import partial
+from types import CodeType, FunctionType
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._errors import RunTimeout, SimulationError
@@ -63,6 +70,7 @@ from repro.arch.counters import (
     centicycles,
 )
 from repro.arch.machines import Machine, MachineConfig
+from repro.obs import metrics as obs_metrics
 from repro.os.loader import ProcessImage
 
 __all__ = [
@@ -85,6 +93,11 @@ _CONTROL_OPS = frozenset((28, 29, 30, 31, 32, 34))
 #: engine self-profiling).  Each combination changes the generated code.
 _Variant = Tuple[bool, bool, bool, bool]
 
+#: Compile memo: (variant, exact factory text) -> the factory's code.
+#: Equal text compiles to equal code and every installed factory binds
+#: its own parameter values, so sharing an entry never changes a result.
+CodeMemo = Dict[Tuple[_Variant, str], CodeType]
+
 
 @dataclass(frozen=True)
 class BlockPlan:
@@ -95,8 +108,8 @@ class BlockPlan:
     leader boundary or at the end of the code image).  ``entry_window``
     and ``entry_line`` are the fetch-window and I-cache line indices of
     the entry instruction — the alignment part of the timing-memo key,
-    which is why two layouts of the same instruction stream compile to
-    different block code (the phenomenon the paper measures).
+    which is why two layouts of the same instruction stream can compile
+    to different block code (the phenomenon the paper measures).
     """
 
     entry: int
@@ -134,19 +147,30 @@ def _lit(cycles: float) -> str:
     return repr(centicycles(cycles))
 
 
+def _compile_factory(text: str, variant: _Variant) -> CodeType:
+    """The code object of the one ``_mk`` function ``text`` defines."""
+    tag = "".join("1" if f else "0" for f in variant)
+    module = compile(text, f"<repro-blockcache:{tag}>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
 class BlockCache:
     """Compiled-block tables for one (executable, machine config) pair.
 
     Holds only the executable's decode arrays (not the ``Executable``
     itself — the registry below keys on it weakly, and a strong
     back-reference from the value would leak the entry).  The blocks of
-    the :meth:`dispatch_closure` are batch-compiled per *variant*
+    the :meth:`dispatch_closure` are installed per *variant*
     (budget/profiling combination) on first use; any other entry the
     dispatcher meets (returns to computed addresses landing mid-block)
-    is compiled lazily and cached alongside.
+    is installed lazily alongside.  Installing a factory compiles its
+    text only when ``memo`` (an :class:`~repro.core.Experiment`'s, or a
+    private one) has not seen that text for that variant.
     """
 
-    def __init__(self, exe, cfg: MachineConfig) -> None:
+    def __init__(
+        self, exe, cfg: MachineConfig, memo: Optional[CodeMemo] = None
+    ) -> None:
         self.cfg = cfg
         self._ops = exe.ops
         self._rds = exe.rds
@@ -182,7 +206,19 @@ class BlockCache:
         ]
         self._plans: Dict[int, BlockPlan] = {}
         self._closure: Optional[List[int]] = None
-        self._variants: Dict[_Variant, Dict[str, Any]] = {}
+        self._memo: CodeMemo = memo if memo is not None else {}
+        self._globals = {
+            "__builtins__": {"abs": abs, "KeyError": KeyError},
+            "abs": abs,
+            "KeyError": KeyError,
+            "_w64": _engine._wrap64,
+            "_M": _M64,
+            "a2i": self._a2i_get,
+            "SimulationError": SimulationError,
+            "RunTimeout": RunTimeout,
+        }
+        #: variant -> {entry pc: factory bound to its parameter values}.
+        self._tables: Dict[_Variant, Dict[int, Callable]] = {}
         self._lock = threading.Lock()
 
     # -- decode -----------------------------------------------------------
@@ -280,74 +316,56 @@ class BlockCache:
 
     # -- compilation ------------------------------------------------------
 
-    def _new_globals(self) -> Dict[str, Any]:
-        return {
-            "__builtins__": {"abs": abs, "KeyError": KeyError},
-            "abs": abs,
-            "KeyError": KeyError,
-            "_w64": _engine._wrap64,
-            "_M": _M64,
-            "a2i": self._a2i_get,
-            "SimulationError": SimulationError,
-            "RunTimeout": RunTimeout,
-        }
-
-    def _ensure_variant(self, variant: _Variant) -> Dict[str, Any]:
-        ent = self._variants.get(variant)
-        if ent is not None:
-            return ent
-        with self._lock:
-            ent = self._variants.get(variant)
-            if ent is not None:
-                return ent
-            entries = self.dispatch_closure()
-            chunks = [self._factory_source(pc, variant) for pc in entries]
-            glb = self._new_globals()
-            tag = "".join("1" if f else "0" for f in variant)
-            exec(  # noqa: S102 — the source is generated from decode
-                compile(
-                    "\n".join(chunks), f"<repro-blockcache:{tag}>", "exec"
-                ),
-                glb,
-            )
-            ent = {
-                "globals": glb,
-                "table": {pc: glb[f"_mk_{pc}"] for pc in entries},
-                "compiled": len(entries),
-            }
-            self._variants[variant] = ent
-            return ent
+    def _install(
+        self, table: Dict[int, Callable], pc: int, variant: _Variant
+    ) -> Callable:
+        """Put the factory for ``pc`` in ``table`` and return it:
+        generate its text, take its code from the memo or compile it,
+        and bind this instance's parameter values."""
+        text, values = self._factory_source(pc, variant)
+        key = (variant, text)
+        code = self._memo.get(key)
+        fresh = code is None
+        if fresh:
+            code = _compile_factory(text, variant)
+            self._memo[key] = code
+        obs_metrics.counter(
+            "blockcache.sources_compiled" if fresh
+            else "blockcache.sources_reused"
+        ).inc()
+        fac = table[pc] = partial(FunctionType(code, self._globals), *values)
+        return fac
 
     def table(self, variant: _Variant) -> Dict[int, Callable]:
-        """The ``entry pc -> factory`` table for one variant."""
-        return self._ensure_variant(variant)["table"]
+        """The ``entry pc -> factory`` table for one variant, with the
+        whole :meth:`dispatch_closure` installed on first use."""
+        table = self._tables.get(variant)
+        if table is not None:
+            return table
+        with self._lock:
+            table = self._tables.get(variant)
+            if table is not None:
+                return table
+            table = {}
+            for pc in self.dispatch_closure():
+                self._install(table, pc, variant)
+            self._tables[variant] = table
+            return table
 
     def compiled_count(self, variant: _Variant) -> int:
-        """How many block factories this variant has compiled so far."""
-        return self._ensure_variant(variant)["compiled"]
+        """How many block factories this variant has installed so far."""
+        return len(self.table(variant))
 
     def factory(self, pc: int, variant: _Variant) -> Callable:
-        """Factory for the block entered at ``pc``; lazily compiles
+        """Factory for the block entered at ``pc``; lazily installs
         blocks first discovered at run time (mid-block entries)."""
-        ent = self._ensure_variant(variant)
-        table = ent["table"]
+        table = self.table(variant)
         fac = table.get(pc)
         if fac is None:
             with self._lock:
                 fac = table.get(pc)
                 if fac is None:
-                    src = self._factory_source(pc, variant)
-                    glb = ent["globals"]
-                    tag = "".join("1" if f else "0" for f in variant)
-                    exec(  # noqa: S102
-                        compile(
-                            src, f"<repro-blockcache:{tag}:late>", "exec"
-                        ),
-                        glb,
-                    )
-                    fac = glb[f"_mk_{pc}"]
-                    table[pc] = fac
-                    ent["compiled"] += 1
+                    fac = self._install(table, pc, variant)
         return fac
 
     # -- code generation --------------------------------------------------
@@ -387,10 +405,17 @@ class BlockCache:
             seen.add(nxt)
             total += len(nplan.pcs)
 
-    def _factory_source(self, entry: int, variant: _Variant) -> str:
-        """Source for one block's factory function (``_mk_<entry>``).
+    def _factory_source(
+        self, entry: int, variant: _Variant
+    ) -> Tuple[str, List[Any]]:
+        """Text and parameter values of one block's factory (``_mk``).
 
-        The factory closes over per-run state (registers, memory, cache
+        The text is position-independent: every value derived from an
+        address or a pc is read from a parameter ``_k0, _k1, ...`` (in
+        emission order) whose value is the matching entry of the
+        returned list, so relinked blocks with the same alignment
+        residues share one text.  The factory takes those parameters,
+        then closes over per-run state (registers, memory, cache
         and predictor methods, tallies, profiling sinks) and returns the
         block body ``_b(cycles, executed, llr, cw, cl) -> (next_pc,
         cycles, executed, llr, cw, cl)`` — ``next_pc`` is None after
@@ -405,11 +430,14 @@ class BlockCache:
         """
         segs, _closes = self._chain(entry)
         rset, wset = self._reg_sets(segs)
-        out = [
-            f"def _mk_{entry}(regs, mem, mg, ad, ai, pt, ph, cnt, lsd,"
-            " bud, maxi, fcy, pcc, epc, ecc, ens, est, eck, ds, dm, l1d):",
-            "    def _b(cycles, executed, llr, cw, cl):",
-        ]
+        values: List[Any] = []
+
+        def K(value: Any) -> str:
+            """A new parameter bound to ``value``, by name."""
+            values.append(value)
+            return f"_k{len(values) - 1}"
+
+        out = ["    def _b(cycles, executed, llr, cw, cl):"]
         # Architectural registers live in Python locals for the whole
         # frame: loaded once here, flushed back only on exits that leave
         # the frame.  Nothing else reads ``regs`` mid-run, and a raised
@@ -445,11 +473,16 @@ class BlockCache:
         fold = self._const_regs(segs)
         for si, plan in enumerate(segs):
             self._emit_seam(
-                out, base, plan, variant, entry, wb, fold,
+                out, base, plan, variant, entry, wb, fold, K,
                 falls=si + 1 < len(segs),
             )
         out.append("    return _b")
-        return "\n".join(out) + "\n"
+        params = "".join(f"_k{i}, " for i in range(len(values)))
+        head = (
+            f"def _mk({params}regs, mem, mg, ad, ai, pt, ph, cnt, lsd,"
+            " bud, maxi, fcy, pcc, epc, ecc, ens, est, eck, ds, dm, l1d):"
+        )
+        return "\n".join([head] + out) + "\n", values
 
     def _reg_sets(self, segs: List[BlockPlan]) -> Tuple[set, set]:
         """(read-or-written, written) register numbers over a chain."""
@@ -520,6 +553,7 @@ class BlockCache:
         entry: int,
         wb: Tuple[str, ...],
         fold: Tuple[Dict[int, Tuple[int, int]], Dict[int, int]],
+        K: Callable[[Any], str],
         falls: bool,
     ) -> None:
         """Emit one chain segment behind its LSD coverage seam.
@@ -531,15 +565,15 @@ class BlockCache:
         pcs = plan.pcs
         if not self.cfg.has_lsd:
             self._emit_body(
-                out, base, pcs, variant, False, entry, wb, fold, falls
+                out, base, pcs, variant, False, entry, wb, fold, K, falls
             )
             return
         if any(lo <= plan.entry <= hi for lo, hi in self._lsd_ranges):
             out.append(
-                base + f"if lsd[0] and lsd[1] <= {plan.entry} <= lsd[2]:"
+                base + f"if lsd[0] and lsd[1] <= {K(plan.entry)} <= lsd[2]:"
             )
             self._emit_body(
-                out, base + "    ", pcs, variant, True, entry, wb, fold,
+                out, base + "    ", pcs, variant, True, entry, wb, fold, K,
                 falls,
             )
             out.append(base + "else:")
@@ -547,7 +581,7 @@ class BlockCache:
             out.append(base + "        lsd[0] = 0")
             out.append(base + "        lsd[3] = 0")
             self._emit_body(
-                out, base + "    ", pcs, variant, False, entry, wb, fold,
+                out, base + "    ", pcs, variant, False, entry, wb, fold, K,
                 falls,
             )
         else:
@@ -555,7 +589,7 @@ class BlockCache:
             out.append(base + "    lsd[0] = 0")
             out.append(base + "    lsd[3] = 0")
             self._emit_body(
-                out, base, pcs, variant, False, entry, wb, fold, falls
+                out, base, pcs, variant, False, entry, wb, fold, K, falls
             )
 
     def _emit_body(
@@ -568,6 +602,7 @@ class BlockCache:
         entry: int,
         wb: Tuple[str, ...],
         fold: Tuple[Dict[int, Tuple[int, int]], Dict[int, int]],
+        K: Callable[[Any], str],
         falls: bool,
     ) -> None:
         """Emit one segment body at indent ``pad``.
@@ -676,16 +711,29 @@ class BlockCache:
             A(p2 + "else:")
             A(p2 + "    cycles += ad(_ln)")
 
+        def profile_delta(p2: str, q: int) -> None:
+            """Charge ``cycles - _cb`` to pc ``q`` and/or its function."""
+            if fcc and pcc_on:
+                A(p2 + "_d = cycles - _cb")
+                A(p2 + f"fcy[{K(self._func_of[q])}] += _d")
+                A(p2 + f"pcc[{K(q)}] += _d")
+            elif fcc:
+                A(p2 + f"fcy[{K(self._func_of[q])}] += cycles - _cb")
+            else:
+                A(p2 + f"pcc[{K(q)}] += cycles - _cb")
+
         def emit_exit(
             p2: str,
-            next_expr: str,
+            nxt: Any,
             term_pc: int,
             term_prof: bool = True,
             cont: bool = False,
         ) -> None:
             """Per-exit epilogue: the fold's one add, profiling delta,
             batched tallies, self-profiling updates, then return /
-            continue / fall-through.
+            continue / fall-through.  ``nxt`` is the static next pc, or
+            the name of the local holding a computed one, or None after
+            HALT.
 
             ``term_prof`` is False for leader-boundary fall-through
             exits, whose last instruction already emitted its own
@@ -694,20 +742,13 @@ class BlockCache:
             the next chain segment when ``falls``)."""
             flush(p2)
             if profiling and term_prof:
-                if fcc and pcc_on:
-                    A(p2 + "_d = cycles - _cb")
-                    A(p2 + f"fcy[{self._func_of[term_pc]!r}] += _d")
-                    A(p2 + f"pcc[{term_pc}] += _d")
-                elif fcc:
-                    A(p2 + f"fcy[{self._func_of[term_pc]!r}] += cycles - _cb")
-                else:
-                    A(p2 + f"pcc[{term_pc}] += cycles - _cb")
+                profile_delta(p2, term_pc)
             A(p2 + f"executed += {blen}")
             for idx, k in enumerate(statics):
                 if k:
                     A(p2 + f"cnt[{idx}] += {k}")
             if eprof:
-                lo, hi = pcs[0], pcs[0] + blen
+                lo, hi = K(pcs[0]), K(pcs[0] + blen)
                 A(p2 + f"epc[{lo}:{hi}] = [_v + 1 for _v in epc[{lo}:{hi}]]")
                 for ci in sorted(ecls):
                     A(p2 + f"ecc[{ci}] += {ecls[ci]}")
@@ -722,10 +763,10 @@ class BlockCache:
                     for ci in sorted(ecls):
                         A(p2 + f"ens[{ci}] += _q * {ecls[ci]}")
                     A(p2 + f"ens[{tci}] += _dt - _q * {blen}")
-            cw_out = "cw" if (covered or sim_cw == "?") else str(sim_cw)
-            cl_out = "cl" if (covered or sim_cl == "?") else str(sim_cl)
+            cw_out = "cw" if (covered or sim_cw == "?") else K(sim_cw)
+            cl_out = "cl" if (covered or sim_cl == "?") else K(sim_cl)
             llr_out = "-1" if llr == "llr" else str(llr)
-            if (cont and falls) or next_expr == str(entry):
+            if (cont and falls) or nxt == entry:
                 # Reconcile the state locals to exactly what a return
                 # would have handed the dispatcher, then stay in-frame.
                 if cw_out != "cw":
@@ -748,8 +789,10 @@ class BlockCache:
                 return
             for line in wb:
                 A(p2 + line)
+            if isinstance(nxt, int):
+                nxt = K(nxt)
             A(
-                p2 + f"return {next_expr}, cycles, executed, "
+                p2 + f"return {nxt}, cycles, executed, "
                 f"{llr_out}, {cw_out}, {cl_out}"
             )
 
@@ -796,34 +839,37 @@ class BlockCache:
                 wend = end >> self._ws
                 lend = end >> 6
                 if sim_cw == "?":
-                    A(pad + f"if cw != {w}:")
+                    kw, kl = K(w), K(ln)
+                    A(pad + f"if cw != {kw}:")
                     A(pad + f"    cycles += {WINC_L}")
                     A(pad + f"    cnt[{_T['window_fetches']}] += 1")
-                    A(pad + f"    if cl != {ln}:")
-                    A(pad + f"        cycles += ai({ln})")
-                    A(pad + f"        cl = {ln}")
+                    A(pad + f"    if cl != {kl}:")
+                    A(pad + f"        cycles += ai({kl})")
+                    A(pad + f"        cl = {kl}")
                     sim_cw = w
                     sim_cl = "?"
                 elif sim_cw != w:
                     pend += WINC
                     statics[_T["window_fetches"]] += 1
                     if sim_cl == "?":
-                        A(pad + f"if cl != {ln}:")
-                        A(pad + f"    cycles += ai({ln})")
-                        A(pad + f"    cl = {ln}")
+                        kl = K(ln)
+                        A(pad + f"if cl != {kl}:")
+                        A(pad + f"    cycles += ai({kl})")
+                        A(pad + f"    cl = {kl}")
                     elif sim_cl != ln:
-                        A(pad + f"cycles += ai({ln})")
+                        A(pad + f"cycles += ai({K(ln)})")
                     sim_cl = ln
                     sim_cw = w
                 if wend != sim_cw:
                     pend += STR
                     statics[_T["window_straddles"]] += 1
                     if sim_cl == "?":
-                        A(pad + f"if cl != {lend}:")
-                        A(pad + f"    cycles += ai({lend})")
-                        A(pad + f"    cl = {lend}")
+                        kl = K(lend)
+                        A(pad + f"if cl != {kl}:")
+                        A(pad + f"    cycles += ai({kl})")
+                        A(pad + f"    cl = {kl}")
                     elif sim_cl != lend:
-                        A(pad + f"cycles += ai({lend})")
+                        A(pad + f"cycles += ai({K(lend)})")
                     sim_cl = lend
                     sim_cw = wend
 
@@ -860,7 +906,7 @@ class BlockCache:
                     A(pad + "if vb == 0:")
                     A(
                         pad + "    raise SimulationError("
-                        f'"{word} by zero at pc={p}")'
+                        f'f"{word} by zero at pc={{{K(p)}}}")'
                     )
                     A(pad + "q = abs(va) // abs(vb)")
                     if op == 5:
@@ -992,10 +1038,10 @@ class BlockCache:
                 # path always leaves the frame or re-enters the loop, so
                 # code after the ``if _t:`` block is the not-taken path.
                 if GSH:
-                    A(pad + f"_i = ({addr >> 1} ^ _h) & {PMASK}")
+                    A(pad + f"_i = ({K(addr >> 1)} ^ _h) & {PMASK}")
                     pslot = "pt[_i]"
                 else:
-                    pslot = f"pt[{(addr >> 1) & PMASK}]"
+                    pslot = f"pt[{K((addr >> 1) & PMASK)}]"
                 A(pad + f"_c = {pslot}")
                 A(pad + "if _t:")
                 p2 = pad + "    "
@@ -1009,10 +1055,10 @@ class BlockCache:
                 A(p2 + f"cnt[{_T['taken_branches']}] += 1")
                 llr = -1
                 if cfg.has_lsd and self._lsd_eligible[p]:
-                    self._emit_lsd_bookkeeping(out, p2, p, tgt, covered)
+                    self._emit_lsd_bookkeeping(out, p2, p, tgt, covered, K)
                 shared = pend
                 pend += TAK
-                emit_exit(p2, str(tgt), p)
+                emit_exit(p2, tgt, p)
                 pend = shared
                 A(pad + "if _c > 0:")
                 A(pad + f"    {pslot} = _c - 1")
@@ -1021,14 +1067,14 @@ class BlockCache:
                 A(pad + "if _c >= 2:")
                 A(pad + f"    cnt[{_T['mispredicts']}] += 1")
                 A(pad + f"    cycles += {MISP}")
-                emit_exit(pad, str(p + 1), p, cont=True)
+                emit_exit(pad, p + 1, p, cont=True)
                 return
             elif op == 30:  # JMP
                 pend += TAK
                 llr = -1
                 if cfg.has_lsd and self._lsd_eligible[p]:
-                    self._emit_lsd_bookkeeping(out, pad, p, tgt, covered)
-                emit_exit(pad, str(tgt), p, cont=True)
+                    self._emit_lsd_bookkeeping(out, pad, p, tgt, covered, K)
+                emit_exit(pad, tgt, p, cont=True)
                 return
             elif op == 31:  # CALL
                 statics[_T["calls"]] += 1
@@ -1044,9 +1090,9 @@ class BlockCache:
                 A(pad + f"    cycles += {SPL}")
                 A(pad + "    cycles += ad(_ln + 1)")
                 statics[_T["stores"]] += 1
-                A(pad + f"mem[sp] = {addr + size}")
+                A(pad + f"mem[sp] = {K(addr + size)}")
                 llr = -1
-                emit_exit(pad, str(tgt), p)
+                emit_exit(pad, tgt, p)
                 return
             elif op == 32:  # RET
                 statics[_T["returns"]] += 1
@@ -1056,7 +1102,7 @@ class BlockCache:
                 A(pad + "if _ra is None:")
                 A(
                     pad + "    raise SimulationError(f\"return with corrupt"
-                    " stack at pc=%d (sp={sp:#x})\")" % p
+                    f" stack at pc={{{K(p)}}} (sp={{sp:#x}})\")"
                 )
                 statics[_T["loads"]] += 1
                 A(pad + "if sp & 7:")
@@ -1081,29 +1127,22 @@ class BlockCache:
                 statics[_T["nops"]] += 1
                 llr = -1
             else:  # HALT
-                emit_exit(pad, "None", p)
+                emit_exit(pad, None, p)
                 return
 
             # Non-terminator per-instruction epilogue.
             if per_insn:
                 flush(pad)
             if profiling:
-                if fcc and pcc_on:
-                    A(pad + "_d = cycles - _cb")
-                    A(pad + f"fcy[{self._func_of[p]!r}] += _d")
-                    A(pad + f"pcc[{p}] += _d")
-                elif fcc:
-                    A(pad + f"fcy[{self._func_of[p]!r}] += cycles - _cb")
-                else:
-                    A(pad + f"pcc[{p}] += cycles - _cb")
+                profile_delta(pad, p)
 
         # Block ended at a leader boundary or the end of the code image:
         # fall through to the next flat index (the driver validates it).
-        emit_exit(pad, str(pcs[-1] + 1), pcs[-1], term_prof=False, cont=True)
+        emit_exit(pad, pcs[-1] + 1, pcs[-1], term_prof=False, cont=True)
 
     def _emit_lsd_bookkeeping(
         self, out: List[str], pad: str, p: int, tgt: int,
-        covered: bool,
+        covered: bool, K: Callable[[Any], str],
     ) -> None:
         """Loop-stream-detector streak/activation updates for an
         eligible taken backward transfer at ``p`` (both body variants:
@@ -1112,16 +1151,17 @@ class BlockCache:
         passed and nothing in the body deactivates), so the activation
         attempt is elided there."""
         warm = self.cfg.lsd_warmup
-        out.append(pad + f"if lsd[4] == {p}:")
+        kp = K(p)
+        out.append(pad + f"if lsd[4] == {kp}:")
         out.append(pad + "    lsd[3] += 1")
         out.append(pad + "else:")
-        out.append(pad + f"    lsd[4] = {p}")
+        out.append(pad + f"    lsd[4] = {kp}")
         out.append(pad + "    lsd[3] = 1")
         if not covered:
             out.append(pad + f"if lsd[3] >= {warm} and not lsd[0]:")
             out.append(pad + "    lsd[0] = 1")
-            out.append(pad + f"    lsd[1] = {tgt}")
-            out.append(pad + f"    lsd[2] = {p}")
+            out.append(pad + f"    lsd[1] = {K(tgt)}")
+            out.append(pad + f"    lsd[2] = {kp}")
 
 
 #: Registry: Executable -> {MachineConfig: BlockCache}.  Keyed weakly so
@@ -1130,8 +1170,13 @@ _CACHES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _CACHES_LOCK = threading.Lock()
 
 
-def block_cache_for(exe, cfg: MachineConfig) -> BlockCache:
-    """The (lazily created) block cache for one executable + config."""
+def block_cache_for(
+    exe, cfg: MachineConfig, memo: Optional[CodeMemo] = None
+) -> BlockCache:
+    """The (lazily created) block cache for one executable + config.
+
+    A cache created here compiles through ``memo`` (private when None);
+    an existing cache keeps the memo it was created with."""
     per = _CACHES.get(exe)
     if per is None:
         with _CACHES_LOCK:
@@ -1144,12 +1189,17 @@ def block_cache_for(exe, cfg: MachineConfig) -> BlockCache:
         with _CACHES_LOCK:
             bc = per.get(cfg)
             if bc is None:
-                bc = BlockCache(exe, cfg)
+                bc = BlockCache(exe, cfg, memo)
                 per[cfg] = bc
     return bc
 
 
-def warm(exe, cfg: MachineConfig, profiled: bool = False) -> int:
+def warm(
+    exe,
+    cfg: MachineConfig,
+    profiled: bool = False,
+    memo: Optional[CodeMemo] = None,
+) -> int:
     """Pre-compile the block table for ``exe`` on ``cfg``.
 
     Block compilation is a one-time per-(executable, config) cost that
@@ -1159,9 +1209,11 @@ def warm(exe, cfg: MachineConfig, profiled: bool = False) -> int:
     compilation.  It compiles the :meth:`BlockCache.dispatch_closure` of
     the variant an unbudgeted, unprofiled run uses — or, with
     ``profiled``, the variant of a run under engine self-profiling.
-    Returns the number of blocks compiled for that variant.
+    ``memo`` is the compile memo of a new cache (see
+    :func:`block_cache_for`): texts it already holds are not compiled
+    again.  Returns the number of factories installed for that variant.
     """
-    return block_cache_for(exe, cfg).compiled_count(
+    return block_cache_for(exe, cfg, memo).compiled_count(
         (False, False, False, profiled)
     )
 
@@ -1192,11 +1244,7 @@ def execute_fast(
         profile_pcs,
         eprof_on,
     )
-    compiled_before = (
-        cache._variants[variant]["compiled"]
-        if variant in cache._variants
-        else 0
-    )
+    compiled_before = len(cache._tables.get(variant, ()))
     table = cache.table(variant)
 
     mem: Dict[int, int] = dict(image.initial_memory)

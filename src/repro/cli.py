@@ -157,6 +157,15 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _non_negative_seconds(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds >= 0, got {text}"
+        )
+    return value
+
+
 def _fault_plan_arg(text: str) -> faults.FaultPlan:
     try:
         return faults.parse_plan(text)
@@ -256,7 +265,8 @@ def _add_runner_args(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--timeline-interval", metavar="SECONDS", type=float, default=1.0,
+        "--timeline-interval", metavar="SECONDS", type=_positive_seconds,
+        default=1.0,
         help="seconds between timeline samples (default: 1.0)",
     )
     parser.add_argument(
@@ -1585,7 +1595,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-measurement timeout in seconds",
     )
     serve.add_argument(
-        "--heartbeat-interval", type=float, default=0.2,
+        "--heartbeat-interval", type=_positive_seconds, default=0.2,
         help="agent liveness cadence in seconds (default 0.2)",
     )
     serve.add_argument(
@@ -1596,7 +1606,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--agentless-grace", type=float, default=30.0,
+        "--agentless-grace", type=_non_negative_seconds, default=30.0,
         help=(
             "seconds to wait for an agent rendezvous before a study "
             "degrades to in-process execution (default 30)"
@@ -1645,7 +1655,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="enqueue and exit instead of waiting for the result",
     )
     submit.add_argument(
-        "--poll-interval", type=float, default=0.5,
+        "--poll-interval", type=_positive_seconds, default=0.5,
         help="seconds between result polls while waiting (default 0.5)",
     )
     submit.add_argument(

@@ -8,14 +8,16 @@ masquerade as a performance result.
 
 Builds and measurements are memoized: sweeping 100 environment sizes
 compiles twice (O2 and O3), not 200 times, and sweeping link orders
-compiles each module once per (compiler, opt level) and only relinks.
+compiles each module once per (compiler, opt level) and only relinks;
+the relinks share the engine's compiled code for every block whose
+position-independent factory text is unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro import faults
 from repro._errors import BuildError, SimulationError, VerificationError
@@ -89,6 +91,11 @@ class Experiment:
         #: opt level links the same modules.
         self._module_cache: Dict[tuple, List[Module]] = {}
         self._run_cache: Dict[ExperimentalSetup, Measurement] = {}
+        #: Compile memo (``repro.arch.blockcache.CodeMemo``) shared by
+        #: the block caches of every executable this experiment warms: a
+        #: relink compiles only the block factories whose
+        #: position-independent text is new.
+        self._code_memo: Dict[tuple, Any] = {}
         #: Optional content-addressed store (see :meth:`attach_store`).
         self._store = None
 
@@ -179,6 +186,7 @@ class Experiment:
                     exe,
                     setup.machine_config(),
                     profiled=obs_perf.engine_profile() is not None,
+                    memo=self._code_memo,
                 )
         return exe
 
@@ -367,10 +375,11 @@ class Experiment:
         return [self.speedup(b, t) for b, t in pairs]
 
     def clear_caches(self) -> None:
-        """Drop memoized modules, builds and runs (used by ablations
-        that mutate global state between sweeps)."""
+        """Drop memoized modules, builds, compiled block code and runs
+        (used by ablations that mutate global state between sweeps)."""
         self._module_cache.clear()
         self._build_cache.clear()
+        self._code_memo = {}
         self._run_cache.clear()
 
     def clear_run_cache(self) -> None:

@@ -15,6 +15,7 @@ Backs the ``repro obs`` CLI and ``tools/validate_trace.py``:
 from __future__ import annotations
 
 import json
+from statistics import median
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.manifest import MANIFEST_FORMAT, validate_manifest
@@ -164,19 +165,23 @@ def _totals_by_name(
 
 
 def summarize_trace(data: Dict[str, Any], top: int = 20) -> str:
-    """Per-span-name totals, largest first, plus the trace's envelope."""
+    """Per-span-name totals, largest first, with each name's mean, p50
+    and max duration, plus the trace's envelope."""
     from repro.core.report import render_table
 
     events = _span_events(data)
     instants = [
         ev for ev in data.get("traceEvents", ()) if ev.get("ph") == "i"
     ]
-    totals = _totals_by_name(events)
-    ranked = sorted(totals.items(), key=lambda kv: -kv[1][1])[:top]
-    rows = [
-        [name, count, f"{total / 1e3:.3f}", f"{total / count / 1e3:.3f}"]
-        for name, (count, total) in ranked
-    ]
+    durations: Dict[str, List[float]] = {}
+    for ev in events:
+        durations.setdefault(ev["name"], []).append(float(ev.get("dur", 0.0)))
+    ranked = sorted(durations.items(), key=lambda kv: -sum(kv[1]))[:top]
+    rows = []
+    for name, durs in ranked:
+        total = sum(durs)
+        stats = (total, total / len(durs), median(durs), max(durs))
+        rows.append([name, len(durs)] + [f"{us / 1e3:.3f}" for us in stats])
     end = max(
         (float(ev["ts"]) + float(ev.get("dur", 0.0)) for ev in events),
         default=0.0,
@@ -187,7 +192,9 @@ def summarize_trace(data: Dict[str, Any], top: int = 20) -> str:
         f"{end / 1e3:.3f} ms wall"
     )
     return render_table(
-        ["span", "count", "total ms", "mean ms"], rows, title=title
+        ["span", "count", "total ms", "mean ms", "p50 ms", "max ms"],
+        rows,
+        title=title,
     )
 
 

@@ -3,9 +3,11 @@
 Random minic programs (the generator of ``test_prop_compiler``) are
 linked as three modules — the random body, a helper and a driver that
 calls both, so CALL/RET return sites are exercised — in a random link
-order and function alignment, loaded under a random environment size,
-and run under ``REPRO_ENGINE_FASTPATH=0`` and ``=1`` on every machine
-preset.  The two outcomes (RunResult, or trap type and message) must be
+order and in its reverse, at one random function alignment, loaded under
+a random environment size, and run under ``REPRO_ENGINE_FASTPATH=0`` and
+``=1`` on every machine preset.  Both links compile through one shared
+compile memo, so the second link's blocks mostly run code compiled for
+the first, bound to the second link's own addresses.  The two outcomes (RunResult, or trap type and message) must be
 bit-equal in every run mode: plain, function and pc profiling, a cycle
 budget that expires mid-run, and a runaway instruction cap.  After the
 variant is warmed, the run must compile no static leader late: every
@@ -106,13 +108,19 @@ def _outcome(exe, preset, env, fast, **kw):
 )
 def test_fast_path_matches_reference(source, opt_level, order, alignment,
                                      extra_env, mode):
-    exe = _build(source, opt_level, order, alignment)
     typical = Environment.typical()
     env = Environment.of_size(typical.total_bytes + 3 + extra_env, typical)
+    memo: blockcache.CodeMemo = {}
+    for link_order in (order, order[::-1]):
+        exe = _build(source, opt_level, link_order, alignment)
+        _check_every_preset(exe, env, mode, memo)
+
+
+def _check_every_preset(exe, env, mode, memo):
     kw, variant = _MODES[mode]
     for preset in PRESETS:
         cfg = get_machine(preset)
-        cache = blockcache.block_cache_for(exe, cfg)
+        cache = blockcache.block_cache_for(exe, cfg, memo)
         closure = set(cache.dispatch_closure())
         leaders = {plan.entry for plan in cache.static_plans()}
         assert exe.entry in closure <= leaders

@@ -8,11 +8,17 @@ profiling attribution, same trap types and messages.  See
 docs/engine.md for why each of these cases is load-bearing.
 """
 
+import dataclasses
+import itertools
+
 import pytest
 
+from repro import workloads
 from repro._errors import RunTimeout, SimulationError
 from repro.arch import blockcache, execute, get_machine
 from repro.arch.engine import EngineProfile, FASTPATH_ENV, fastpath_enabled
+from repro.core import Experiment, ExperimentalSetup
+from repro.obs import metrics as obs_metrics
 from repro.os import Environment, load_process
 from repro.toolchain.compiler import compile_program
 from repro.toolchain.linker import LinkLayout, link
@@ -25,6 +31,7 @@ from tests.conftest import (
 )
 
 PRESETS = ("core2", "pentium4", "m5_o3cpu")
+PLAIN = (False, False, False, False)
 
 
 def _run(exe, fast, machine="core2", env=None, inputs=None, **kw):
@@ -61,6 +68,15 @@ def both_paths(exe, monkeypatch, **kw):
     monkeypatch.setenv(FASTPATH_ENV, "1")
     fast = _run(exe, True, **kw)
     return ref, fast
+
+
+def _source_counts(reg):
+    """(compiled, reused) factory texts counted in a metrics registry."""
+    counts = reg.counters()
+    return (
+        counts.get("blockcache.sources_compiled", 0),
+        counts.get("blockcache.sources_reused", 0),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -184,19 +200,27 @@ class TestLateBlockDiscovery:
     def test_mid_block_entry_compiles_lazily(self, monkeypatch):
         exe = self._poked_exe()
         cfg = get_machine("core2")
+        memo = {}
+        cache = blockcache.block_cache_for(exe, cfg, memo)
         j = self._mid_block_pc(exe, cfg)
-        cache = blockcache.block_cache_for(exe, cfg)
-        variant = (False, False, False, False)
-        assert j not in cache.table(variant)
+        assert j not in cache.table(PLAIN)
         monkeypatch.setenv(FASTPATH_ENV, "1")
-        _run(
-            exe,
-            True,
-            inputs={"target": exe.addrs[j]},
-            max_instructions=100_000,
-        )
-        assert j in cache.table(variant)
+        with obs_metrics.scoped() as reg:
+            _run(
+                exe,
+                True,
+                inputs={"target": exe.addrs[j]},
+                max_instructions=100_000,
+            )
+        assert j in cache.table(PLAIN)
         assert cache.plan(j).entry == j
+        # The late block went through the cache's memo like the warm
+        # batch: its text is a memo key, bound to that entry's code.
+        text, values = cache._factory_source(j, PLAIN)
+        late = cache.table(PLAIN)[j]
+        assert late.func.__code__ is memo[(PLAIN, text)]
+        assert list(late.args) == values
+        assert sum(_source_counts(reg)) == 1
 
 
 class TestTimingMemoKeys:
@@ -300,3 +324,135 @@ class TestTelemetryAndWarm:
         bc = prof.to_dict()["block_cache"]
         assert bc["fastpath_runs"] == 1
         assert bc["compiled_blocks"] == 0
+
+
+class TestRelocatedFactories:
+    """Factory texts are position-independent: every address-derived
+    value is a parameter, so relinks of one program share compiled code
+    through the experiment's text-keyed memo, each factory bound to its
+    own link's values.  Sharing must never change a result."""
+
+    @pytest.mark.parametrize("program", ["perlbench", "sjeng"])
+    def test_every_link_order_matches_reference(self, program, monkeypatch):
+        workload = workloads.get(program)
+        if program == "sjeng":
+            # Its 24 link orders at the test input's search depth take
+            # minutes on the reference interpreter; depth 1 runs the same
+            # code (warm installs every dispatchable block regardless).
+            make_input = workload.make_input
+            workload = dataclasses.replace(
+                workload,
+                make_input=lambda size, seed: dict(
+                    make_input(size, seed), p_depth=1
+                ),
+            )
+        exp = Experiment(workload, size="test")
+        reference = Experiment(workload, size="test")
+        installed = 0
+        with obs_metrics.scoped() as reg:
+            for order in itertools.permutations(workload.module_names()):
+                for opt_level in (2, 3):
+                    setup = ExperimentalSetup(
+                        machine="core2", opt_level=opt_level,
+                        link_order=order,
+                    )
+                    monkeypatch.setenv(FASTPATH_ENV, "1")
+                    fast = exp.run(setup)
+                    installed += blockcache.block_cache_for(
+                        exp.build(setup), setup.machine_config()
+                    ).compiled_count(PLAIN)
+                    monkeypatch.setenv(FASTPATH_ENV, "0")
+                    ref = reference.run(setup)
+                    assert (fast.exit_value, fast.counters.as_dict()) == (
+                        ref.exit_value, ref.counters.as_dict()
+                    ), setup.describe()
+        compiled, reused = _source_counts(reg)
+        assert compiled + reused == installed
+        assert compiled < installed
+
+    def _relinks(self, sources, orders):
+        """The program linked in each order at a 64-byte function
+        alignment, so every block keeps its alignment residues and its
+        factory text while its addresses move."""
+        modules = compile_program(sources, opt_level=2, profile="gcc")
+        return [
+            link(modules, order=order,
+                 layout=LinkLayout(function_alignment=64))
+            for order in orders
+        ]
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_profiled_relinks_match_reference(self, monkeypatch, preset):
+        cfg = get_machine(preset)
+        memo = {}
+        profiled = (False, True, True, False)
+        with obs_metrics.scoped() as reg:
+            for exe in self._relinks(
+                SMALL_SOURCES, (["kernel", "main"], ["main", "kernel"])
+            ):
+                blockcache.block_cache_for(exe, cfg, memo).table(profiled)
+                ref, fast = both_paths(
+                    exe, monkeypatch, machine=preset,
+                    profile_functions=True, profile_pcs=True,
+                )
+                assert ref[0] == "ok" and fast == ref
+        compiled, reused = _source_counts(reg)
+        assert compiled > 0 and reused > 0
+
+    def test_relinked_trap_messages_match_reference(self, monkeypatch):
+        sources = {
+            "lib": "int z;\nfunc quot(a) {\n    return a / z;\n}\n",
+            "main": "func main() {\n    return quot(5) + 1;\n}\n",
+        }
+        cfg = get_machine("core2")
+        memo = {}
+        messages = []
+        with obs_metrics.scoped() as reg:
+            for exe in self._relinks(
+                sources, (["lib", "main"], ["main", "lib"])
+            ):
+                blockcache.block_cache_for(exe, cfg, memo).table(PLAIN)
+                ref, fast = both_paths(exe, monkeypatch)
+                assert ref[0] == "trap" and fast == ref
+                messages.append(fast[2])
+        # The second link ran the first link's code at its own pcs.
+        assert messages[0] != messages[1]
+        assert _source_counts(reg)[1] > 0
+
+    def test_relink_rewarm_and_clear_caches(self, monkeypatch):
+        monkeypatch.setenv(FASTPATH_ENV, "1")
+        exp = Experiment(workloads.get("perlbench"), size="test")
+        setup = ExperimentalSetup(machine="core2", opt_level=3)
+        cfg = setup.machine_config()
+        with obs_metrics.scoped() as reg:
+            exe = exp.build(setup)
+        first = _source_counts(reg)
+        installed = blockcache.block_cache_for(exe, cfg).compiled_count(PLAIN)
+        assert sum(first) == installed and first[0] > 0
+        # An identical relink generates the same texts: nothing compiles.
+        relinked = link(exp._modules(setup), order=setup.link_order)
+        assert relinked is not exe
+        with obs_metrics.scoped() as reg:
+            assert blockcache.warm(
+                relinked, cfg, memo=exp._code_memo
+            ) == installed
+        assert _source_counts(reg) == (0, installed)
+        # clear_caches() drops the memo: the next build compiles as
+        # much as the first one did.
+        exp.clear_caches()
+        with obs_metrics.scoped() as reg:
+            exp.build(setup)
+        assert _source_counts(reg) == first
+
+    def test_bare_execute_uses_a_private_memo(self, monkeypatch):
+        exe = build_small(2)
+        ref, fast = both_paths(exe, monkeypatch, profile_pcs=True)
+        assert fast == ref
+        cache = blockcache.block_cache_for(exe, get_machine("core2"))
+        pcs_variant = (False, False, True, False)
+        assert list(cache._tables) == [pcs_variant]
+        # Only this executable's texts, keyed by (variant, text).
+        assert set(cache._memo) == {
+            (pcs_variant, cache._factory_source(pc, pcs_variant)[0])
+            for pc in cache.table(pcs_variant)
+        }

@@ -122,6 +122,18 @@ class TestBadCounts:
          "--http", "127.0.0.1:1"],
         ["serve", "--workdir", "svc", "--http", "127.0.0.1:0",
          "--timeout", "-1"],
+        ["study", "bzip2", "link", "--orders", "1",
+         "--timeline-out", "t.jsonl", "--timeline-interval", "-1"],
+        ["serve", "--workdir", "svc", "--http", "127.0.0.1:0",
+         "--heartbeat-interval", "0"],
+        ["serve", "--workdir", "svc", "--http", "127.0.0.1:0",
+         "--agentless-grace", "-1"],
+        ["serve", "--workdir", "svc", "--http", "127.0.0.1:0",
+         "--agentless-grace", "inf"],
+        ["serve", "--workdir", "svc", "--http", "127.0.0.1:0",
+         "--agentless-grace", "nan"],
+        ["submit", "bzip2", "env", "--poll-interval", "-0.5",
+         "--http", "127.0.0.1:1"],
     ], ids=lambda a: " ".join(a[:2] + a[-2:]))
     def test_rejected_at_parse_time(self, argv, capsys, tmp_path,
                                     monkeypatch):
@@ -140,6 +152,10 @@ class TestBadCounts:
         assert (args.orders, args.timeout) == (1, 0.5)
         args = parser.parse_args(["randomized", "bzip2", "--setups", "2"])
         assert args.setups == 2
+        args = parser.parse_args(["serve", "--workdir", "svc", "--http",
+                                  "127.0.0.1:0", "--agentless-grace", "0",
+                                  "--heartbeat-interval", "0.05"])
+        assert (args.agentless_grace, args.heartbeat_interval) == (0.0, 0.05)
 
 
 class TestUnreachableEnvSizes:

@@ -10,7 +10,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs.inspect import validate_manifest, validate_trace
+from repro.obs.inspect import (
+    summarize_trace,
+    validate_manifest,
+    validate_trace,
+)
 
 
 def tiny_study(extra):
@@ -82,6 +86,32 @@ class TestObsCommand:
         out = capsys.readouterr().out
         assert "spans" in out and "sweep" in out
         assert "sphinx3" in out
+
+    def test_summary_shows_p50_and_max_per_span(self):
+        # One slow first warm and two cheap ones: the mean (34.333 ms)
+        # is neither; p50 and max tell them apart.
+        spans = [("blockcache-warm", 100_000.0), ("blockcache-warm", 1_000.0),
+                 ("blockcache-warm", 2_000.0), ("run", 40_000.0),
+                 ("run", 50_000.0)]
+        data = {"traceEvents": [
+            {"ph": "X", "name": name, "ts": 200_000.0 * i, "dur": dur,
+             "pid": 1, "tid": 1}
+            for i, (name, dur) in enumerate(spans)
+        ], "otherData": {"label": "hand-built"}}
+        lines = summarize_trace(data).splitlines()
+        assert lines[1].split() == [
+            "span", "count", "total", "ms", "mean", "ms", "p50", "ms",
+            "max", "ms",
+        ]
+        rows = {line.split()[0]: line.split()[1:] for line in lines[3:]}
+        assert rows["blockcache-warm"] == [
+            "3", "103.000", "34.333", "2.000", "100.000"
+        ]
+        assert rows["run"] == ["2", "90.000", "45.000", "45.000", "50.000"]
+        # Largest total first.
+        assert [line.split()[0] for line in lines[3:]] == [
+            "blockcache-warm", "run"
+        ]
 
     def test_validate_accepts_good_artifacts(self, traced_artifacts, capsys):
         trace, manifest = traced_artifacts

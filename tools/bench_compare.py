@@ -10,7 +10,9 @@ enforces the repo's determinism contract (docs/observability.md):
   bytes (via its sha256), event counters (``engine.instructions``,
   ``engine.simulated_cycles``, cache hits, ...), engine-profile dispatch
   and basic-block counts, and the recorded harness configuration
-  (jobs/hosts/fault plan/trace sampling/heartbeat interval);
+  (jobs/hosts/fault plan/trace sampling/heartbeat interval); a
+  ``blockcache.*`` counter is a fast-path fact, compared only when both
+  sidecars carry it (a reference-interpreter run compiles nothing);
 - **wall-clock facts get a tolerance** — ``engine.ips``, ``*_seconds``
   histograms and ``*_wall_ns`` tallies are facts about one host on one
   day, so they are compared with a relative threshold
@@ -46,6 +48,11 @@ WALL_SUFFIXES = ("_seconds", "_wall_ns", ".ips", "_wall")
 
 #: Top-level sidecar keys that are pure timestamps — not compared at all.
 IGNORED_KEYS = ("created_unix",)
+
+#: Counter-name prefixes only the engine's fast path accounts (the
+#: reference interpreter compiles no blocks): compared exactly when both
+#: sidecars carry such a counter, skipped when only one does.
+FASTPATH_COUNTER_PREFIXES = ("blockcache.",)
 
 
 def is_wall_metric(name: str) -> bool:
@@ -109,6 +116,18 @@ def deterministic_view(sidecar: Dict[str, Any]) -> Dict[str, Any]:
         # otherwise, while every simulated result stays byte-identical.
         perf["engine"].pop("block_cache", None)
     return out
+
+
+def drop_one_sided_fastpath_counters(
+    a: Dict[str, Any], b: Dict[str, Any]
+) -> None:
+    """Remove, in place, the fast-path counters only one side carries."""
+    ca = (a.get("metrics") or {}).get("counters") or {}
+    cb = (b.get("metrics") or {}).get("counters") or {}
+    for name in set(ca) ^ set(cb):
+        if name.startswith(FASTPATH_COUNTER_PREFIXES):
+            ca.pop(name, None)
+            cb.pop(name, None)
 
 
 def diff_paths(a: Any, b: Any, prefix: str = "") -> Iterator[str]:
@@ -189,9 +208,11 @@ def compare_dirs(
         a, b = side_a[name], side_b[name]
         problems += [f"{name}: {p}" for p in verify_artifact(dir_a, a)]
         problems += [f"{name}: {p}" for p in verify_artifact(dir_b, b)]
+        view_a, view_b = deterministic_view(a), deterministic_view(b)
+        drop_one_sided_fastpath_counters(view_a, view_b)
         problems += [
             f"{name}: deterministic field differs — {d}"
-            for d in diff_paths(deterministic_view(a), deterministic_view(b))
+            for d in diff_paths(view_a, view_b)
         ]
         if tolerance > 0:
             wall_problems, wall_info = compare_wall(a, b, tolerance)
