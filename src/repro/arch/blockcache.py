@@ -42,7 +42,11 @@ centicycles held in a float, so every partial sum is exact (below 2**53)
 and the order of additions cannot change the result.  The generator
 therefore folds a block's unconditional costs into one constant charged
 once per exit; variants that read ``cycles`` around every instruction
-(cycle budget, profiling) charge it per instruction.  Counters,
+(cycle budget, profiling) charge it per instruction.  In the plain
+variant an exit that stays in the frame only counts itself, and the
+frame's epilogue multiplies its costs and tallies out.  L1 accesses
+probe the caches' MRU arrays inline and are counted as hits up front.
+Counters,
 ``pc_cycles``/``function_cycles`` attribution, trap types and messages,
 predictor/cache side effects and ``RunTimeout`` behaviour are replicated
 instruction-for-instruction; ``tests/unit/test_blockcache.py`` pins
@@ -152,6 +156,67 @@ def _compile_factory(text: str, variant: _Variant) -> CodeType:
     tag = "".join("1" if f else "0" for f in variant)
     module = compile(text, f"<repro-blockcache:{tag}>", "exec")
     return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+#: Tally-vector slot past ``TALLY_FIELDS``: L1I accesses that generated
+#: code probes inline, each counted as a hit up front (a failed probe
+#: takes its hit back in ``CacheHierarchy.fetch_after_probe``), added to
+#: the L1I hit counter when the run ends.  L1D accesses need no slot of
+#: their own: see ``execute_fast``.
+_IHIT = len(TALLY_FIELDS)
+
+
+def _times(k: int, name: str) -> str:
+    """Source for ``k * name``."""
+    return name if k == 1 else f"{k} * {name}"
+
+
+class _Frame:
+    """Emission state shared by the segment bodies of one factory.
+
+    Every exit that leaves the frame breaks out of the loop into the
+    one :meth:`epilogue`.  ``mult`` (the plain variant) makes each exit
+    that stays in the frame (``continue`` or the fall-through into the
+    next chain segment) bump its own counter ``_xN`` instead of
+    charging its fold and tallies, which the epilogue multiplies out —
+    exact, since every term is an integer below 2**53.
+    """
+
+    def __init__(
+        self,
+        entry: int,
+        K: Callable[[Any], str],
+        fold: Tuple[Dict[int, Tuple[int, int]], Dict[int, int]],
+        wb: Tuple[str, ...],
+        mult: bool,
+    ) -> None:
+        self.entry = entry
+        self.K = K
+        self.fold = fold
+        #: Register and predictor-history write-back lines.
+        self.wb = wb
+        self.mult = mult
+        #: (counter name, fold, tallies) per counted exit.
+        self.xs: List[Tuple[str, int, List[int]]] = []
+        #: Whether a runaway check breaks out of the loop (``_nx`` is
+        #: then bound up front: the dispatcher raises before using it).
+        self.bail = False
+
+    def epilogue(self) -> List[str]:
+        """The one exit after the loop: multiply the counted exits out,
+        write the frame state back, return."""
+        xs = self.xs
+        lines = []
+        terms = [_times(pend, x) for x, pend, _ in xs if pend]
+        if terms:
+            lines.append(f"cycles += {' + '.join(terms)}")
+        for idx in range(_IHIT + 1):
+            terms = [_times(st[idx], x) for x, _, st in xs if st[idx]]
+            if terms:
+                lines.append(f"cnt[{idx}] += {' + '.join(terms)}")
+        lines += self.wb
+        lines.append("return _nx, cycles, executed, llr, cw, cl")
+        return lines
 
 
 class BlockCache:
@@ -423,12 +488,16 @@ class BlockCache:
         continuation chain (:meth:`_chain`): exits whose static target
         is ``entry`` compile to ``continue``, so hot loops iterate
         inside one Python frame instead of re-entering the dispatcher.
+        Every exit that leaves the frame breaks out to one epilogue
+        after the loop, which writes the frame state back and, in the
+        plain variant, multiplies each in-frame exit's fixed
+        centicycles, tallies and L1 hits out by its exit counter.
         With an LSD, each chain segment re-evaluates the covered guard
         exactly where the dispatcher would have, and is emitted twice
         (covered path with the front end waived, plus the normal path)
         unless no activation range can ever contain it.
         """
-        segs, _closes = self._chain(entry)
+        segs, _ = self._chain(entry)
         rset, wset = self._reg_sets(segs)
         values: List[Any] = []
 
@@ -445,16 +514,6 @@ class BlockCache:
         # observably identical to indexing ``regs`` per access.
         for i in sorted(rset):
             out.append(f"        _r{i} = regs[{i}]")
-        # L1D MRU hits are counted in a frame-local and flushed with the
-        # registers; misses update Cache stats immediately via the
-        # hierarchy walk, so only the hit tally is deferred.
-        has_mem = any(
-            self._ops[p] in (24, 25, 26, 27, 31, 32)
-            for plan in segs
-            for p in plan.pcs
-        )
-        if has_mem:
-            out.append("        _dh = 0")
         # The gshare global history also lives in a frame local (loaded
         # from / flushed to the one-element ``ph`` list) when the chain
         # contains conditional branches.
@@ -463,24 +522,27 @@ class BlockCache:
         )
         if has_hist:
             out.append("        _h = ph[0]")
+        # Exit counters (and ``_nx``) are initialized here once emission
+        # has shown which ones the body uses.
+        init_at = len(out)
         out.append("        while True:")
-        base = " " * 12
-        wb = (
-            tuple(f"regs[{i}] = _r{i}" for i in sorted(wset))
-            + (("l1d.hits += _dh",) if has_mem else ())
-            + (("ph[0] = _h",) if has_hist else ())
+        wb = tuple(f"regs[{i}] = _r{i}" for i in sorted(wset)) + (
+            ("ph[0] = _h",) if has_hist else ()
         )
-        fold = self._const_regs(segs)
+        fr = _Frame(entry, K, self._const_regs(segs), wb, not any(variant))
         for si, plan in enumerate(segs):
             self._emit_seam(
-                out, base, plan, variant, entry, wb, fold, K,
-                falls=si + 1 < len(segs),
+                out, " " * 12, plan, variant, fr, falls=si + 1 < len(segs)
             )
+        zeroed = [x for x, _, _ in fr.xs] + (["_nx"] if fr.bail else [])
+        if zeroed:
+            out.insert(init_at, f"        {' = '.join(zeroed)} = 0")
+        out.extend("        " + line for line in fr.epilogue())
         out.append("    return _b")
         params = "".join(f"_k{i}, " for i in range(len(values)))
         head = (
-            f"def _mk({params}regs, mem, mg, ad, ai, pt, ph, cnt, lsd,"
-            " bud, maxi, fcy, pcc, epc, ecc, ens, est, eck, ds, dm, l1d):"
+            f"def _mk({params}regs, mem, mg, adm, aim, pt, ph, cnt, lsd, bud,"
+            " maxi, fcy, pcc, epc, ecc, ens, est, eck, dmr, imr):"
         )
         return "\n".join([head] + out) + "\n", values
 
@@ -550,10 +612,7 @@ class BlockCache:
         base: str,
         plan: BlockPlan,
         variant: _Variant,
-        entry: int,
-        wb: Tuple[str, ...],
-        fold: Tuple[Dict[int, Tuple[int, int]], Dict[int, int]],
-        K: Callable[[Any], str],
+        fr: _Frame,
         falls: bool,
     ) -> None:
         """Emit one chain segment behind its LSD coverage seam.
@@ -564,33 +623,23 @@ class BlockCache:
         """
         pcs = plan.pcs
         if not self.cfg.has_lsd:
-            self._emit_body(
-                out, base, pcs, variant, False, entry, wb, fold, K, falls
-            )
+            self._emit_body(out, base, pcs, variant, False, fr, falls)
             return
         if any(lo <= plan.entry <= hi for lo, hi in self._lsd_ranges):
             out.append(
-                base + f"if lsd[0] and lsd[1] <= {K(plan.entry)} <= lsd[2]:"
+                base + f"if lsd[0] and lsd[1] <= {fr.K(plan.entry)} <= lsd[2]:"
             )
-            self._emit_body(
-                out, base + "    ", pcs, variant, True, entry, wb, fold, K,
-                falls,
-            )
+            self._emit_body(out, base + "    ", pcs, variant, True, fr, falls)
             out.append(base + "else:")
             out.append(base + "    if lsd[0]:")
-            out.append(base + "        lsd[0] = 0")
-            out.append(base + "        lsd[3] = 0")
+            out.append(base + "        lsd[0] = lsd[3] = 0")
             self._emit_body(
-                out, base + "    ", pcs, variant, False, entry, wb, fold, K,
-                falls,
+                out, base + "    ", pcs, variant, False, fr, falls
             )
         else:
             out.append(base + "if lsd[0]:")
-            out.append(base + "    lsd[0] = 0")
-            out.append(base + "    lsd[3] = 0")
-            self._emit_body(
-                out, base, pcs, variant, False, entry, wb, fold, K, falls
-            )
+            out.append(base + "    lsd[0] = lsd[3] = 0")
+            self._emit_body(out, base, pcs, variant, False, fr, falls)
 
     def _emit_body(
         self,
@@ -599,10 +648,7 @@ class BlockCache:
         pcs: Tuple[int, ...],
         variant: _Variant,
         covered: bool,
-        entry: int,
-        wb: Tuple[str, ...],
-        fold: Tuple[Dict[int, Tuple[int, int]], Dict[int, int]],
-        K: Callable[[Any], str],
+        fr: _Frame,
         falls: bool,
     ) -> None:
         """Emit one segment body at indent ``pad``.
@@ -612,17 +658,18 @@ class BlockCache:
         emitted only while a quantity is unknown, unconditional costs
         fold into one pending constant charged where ``cycles`` is read
         (each exit, or each instruction in the budget and profiling
-        variants), and event tallies that are unconditional fold into
-        one batched update per exit.  Exits come in three shapes: a static target
-        equal to ``entry`` re-enters the enclosing ``while`` with
-        ``continue``; the continuation exit of a non-final chain
-        segment (``falls``) reconciles the state locals and falls
-        through to the next segment's seam; everything else returns to
-        the dispatcher.
+        variants), and event tallies and L1 hits that are unconditional
+        fold into one batched update per exit.  Exits come in three
+        shapes: a static target equal to the factory's entry re-enters
+        the enclosing ``while`` with ``continue``; the continuation exit
+        of a non-final chain segment (``falls``) reconciles the state
+        locals and falls through to the next segment's seam; everything
+        else breaks out to the factory's epilogue (see :class:`_Frame`).
         """
         budget, fcc, pcc_on, eprof = variant
         profiling = fcc or pcc_on
-        kconst, ordix = fold
+        K = fr.K
+        kconst, ordix = fr.fold
         cfg = self.cfg
         blen = len(pcs)
         A = out.append
@@ -647,9 +694,16 @@ class BlockCache:
         # instruction, so those variants flush the fold per instruction.
         per_insn = budget or profiling
 
+        def event(p2: str, field: str, cost: str) -> None:
+            """Charge and tally one ``field`` event of cost ``cost``."""
+            A(p2 + f"cycles += {cost}")
+            A(p2 + f"cnt[{_T[field]}] += 1")
+
         GSH = cfg.predictor_kind == "gshare"
         PMASK = (1 << cfg.predictor_table_bits) - 1
         HMASK = (1 << cfg.predictor_history_bits) - 1
+        IMASK = cfg.l1i.num_sets - 1
+        DMASK = cfg.l1d.num_sets - 1
 
         I64_MAX = 9223372036854775807
         I64_SPAN = 18446744073709551616
@@ -671,13 +725,19 @@ class BlockCache:
             A(p2 + f"        _r -= {I64_SPAN}")
             A(p2 + f"_r{rd} = _r")
 
-        statics = [0] * len(TALLY_FIELDS)
+        # Unconditional tallies per slot of the tally vector, charged per
+        # exit.
+        statics = [0] * (_IHIT + 1)
         if covered:
             statics[_T["lsd_covered"]] = blen
         ecls: Dict[int, int] = {}
         # Symbolic state: "?" = unknown (dynamic), else known constant.
         sim_cw: Any = "?"
         sim_cl: Any = "?"
+        # Whether the ``cl`` local holds ``sim_cl``: a guarded line
+        # change assigns it, a static one does not, so only then does an
+        # exit have to reconcile it.
+        cl_live = False
         llr: Any = "llr"  # "llr" = dynamic entry value, else an int
         # Unconditional centicycles charged since ``cycles`` was last
         # brought up to date; emitted as one add wherever it is read.
@@ -700,16 +760,50 @@ class BlockCache:
             elif llr >= 0 and llr in regs_checked:
                 pend += LU
 
-        def data_access(p2: str, base_expr: str) -> None:
-            """L1D access: inline MRU probe (hit counted locally and
-            flushed on frame exit), full hierarchy walk on miss (an MRU
-            hit costs nothing extra in the reference)."""
-            A(p2 + f"_ln = {base_expr} >> 6")
-            A(p2 + "_w = ds[_ln & dm]")
-            A(p2 + "if _w and _w[0] == _ln:")
-            A(p2 + "    _dh += 1")
-            A(p2 + "else:")
-            A(p2 + "    cycles += ad(_ln)")
+        def fetch_line(p2: str, ln: int, guarded: bool) -> None:
+            """I-cache access to line ``ln`` with an inline MRU probe.
+            A statically known line change counts its hit per exit; a
+            ``guarded`` one happens only when ``cl`` differs at run time,
+            and counts its hit there."""
+            kl = K(ln)
+            if guarded:
+                A(p2 + f"if cl != {kl}:")
+                p2 += "    "
+                A(p2 + f"cl = {kl}")
+                A(p2 + f"cnt[{_IHIT}] += 1")
+            else:
+                statics[_IHIT] += 1
+            A(p2 + f"if imr[{K(ln & IMASK)}] != {kl}:")
+            A(p2 + f"    cycles += aim({kl})")
+
+        def line_change(p2: str, ln: int) -> None:
+            """Front-end move to line ``ln`` after a window change."""
+            nonlocal sim_cl, cl_live
+            if sim_cl != ln:
+                cl_live = sim_cl == "?"
+                fetch_line(p2, ln, cl_live)
+            sim_cl = ln
+
+        def data_access(p2: str, ea: str, checked: bool) -> None:
+            """L1D access at address ``ea``: an inline MRU probe, the
+            hierarchy walk when it fails.  Its hit is counted through
+            the load/store tallies (see ``execute_fast``).  A ``checked``
+            (word) access also charges misalignment and, for a line
+            split, probes the next line the same way (counted through
+            the ``line_splits`` tally)."""
+            A(p2 + f"_ln = {ea} >> 6")
+            A(p2 + f"if dmr[_ln & {DMASK}] != _ln:")
+            A(p2 + "    cycles += adm(_ln)")
+            if not checked:
+                return
+            # An 8-aligned access cannot cross a 64-byte line.
+            A(p2 + f"if {ea} & 7:")
+            event(p2 + "    ", "unaligned_accesses", UNAL)
+            A(p2 + f"    if ({ea} & 63) > 56:")
+            event(p2 + "        ", "line_splits", SPL)
+            A(p2 + "        _ln += 1")
+            A(p2 + f"        if dmr[_ln & {DMASK}] != _ln:")
+            A(p2 + "            cycles += adm(_ln)")
 
         def profile_delta(p2: str, q: int) -> None:
             """Charge ``cycles - _cb`` to pc ``q`` and/or its function."""
@@ -729,24 +823,33 @@ class BlockCache:
             term_prof: bool = True,
             cont: bool = False,
         ) -> None:
-            """Per-exit epilogue: the fold's one add, profiling delta,
-            batched tallies, self-profiling updates, then return /
-            continue / fall-through.  ``nxt`` is the static next pc, or
-            the name of the local holding a computed one, or None after
-            HALT.
+            """Per-exit code: the fold's one add, profiling delta,
+            batched tallies and hits, self-profiling updates, then
+            break / continue / fall-through.  ``nxt`` is the
+            static next pc, or the name of the local holding a computed
+            one, or None after HALT.  A counted in-frame exit (``mult``)
+            only bumps its counter.
 
             ``term_prof`` is False for leader-boundary fall-through
             exits, whose last instruction already emitted its own
             profiling epilogue in the main walk.  ``cont`` marks the
             segment's continuation exit (eligible to fall through to
             the next chain segment when ``falls``)."""
-            flush(p2)
-            if profiling and term_prof:
-                profile_delta(p2, term_pc)
+            nonlocal pend
+            stay = (cont and falls) or nxt == fr.entry
+            if fr.mult and stay:
+                x = f"_x{len(fr.xs)}"
+                fr.xs.append((x, pend, list(statics)))
+                pend = 0
+                A(p2 + f"{x} += 1")
+            else:
+                flush(p2)
+                if profiling and term_prof:
+                    profile_delta(p2, term_pc)
+                for idx, k in enumerate(statics):
+                    if k:
+                        A(p2 + f"cnt[{idx}] += {k}")
             A(p2 + f"executed += {blen}")
-            for idx, k in enumerate(statics):
-                if k:
-                    A(p2 + f"cnt[{idx}] += {k}")
             if eprof:
                 lo, hi = K(pcs[0]), K(pcs[0] + blen)
                 A(p2 + f"epc[{lo}:{hi}] = [_v + 1 for _v in epc[{lo}:{hi}]]")
@@ -764,37 +867,32 @@ class BlockCache:
                         A(p2 + f"ens[{ci}] += _q * {ecls[ci]}")
                     A(p2 + f"ens[{tci}] += _dt - _q * {blen}")
             cw_out = "cw" if (covered or sim_cw == "?") else K(sim_cw)
-            cl_out = "cl" if (covered or sim_cl == "?") else K(sim_cl)
-            llr_out = "-1" if llr == "llr" else str(llr)
-            if (cont and falls) or nxt == entry:
-                # Reconcile the state locals to exactly what a return
-                # would have handed the dispatcher, then stay in-frame.
-                if cw_out != "cw":
-                    A(p2 + f"cw = {cw_out}")
-                if cl_out != "cl":
-                    A(p2 + f"cl = {cl_out}")
-                A(p2 + f"llr = {llr_out}")
-                if cont and falls:
-                    return
-                # Loop back to the seam: replicate the dispatcher's
-                # post-block runaway check (the budget variant already
-                # checks before every instruction).
-                if not budget:
-                    A(p2 + "if executed > maxi:")
-                    A(
-                        p2 + '    raise SimulationError(f"exceeded'
-                        ' {maxi} instructions (runaway loop?)")'
-                    )
-                A(p2 + "continue")
-                return
-            for line in wb:
-                A(p2 + line)
-            if isinstance(nxt, int):
-                nxt = K(nxt)
-            A(
-                p2 + f"return {nxt}, cycles, executed, "
-                f"{llr_out}, {cw_out}, {cl_out}"
+            cl_out = (
+                "cl" if (covered or sim_cl == "?" or cl_live) else K(sim_cl)
             )
+            llr_out = "-1" if llr == "llr" else str(llr)
+            # Reconcile the state locals to exactly what the epilogue
+            # hands the dispatcher, then stay in-frame or leave.
+            if cw_out != "cw":
+                A(p2 + f"cw = {cw_out}")
+            if cl_out != "cl":
+                A(p2 + f"cl = {cl_out}")
+            A(p2 + f"llr = {llr_out}")
+            if cont and falls:
+                return
+            if not stay:
+                A(p2 + f"_nx = {K(nxt) if isinstance(nxt, int) else nxt}")
+                A(p2 + "break")
+                return
+            # Loop back to the seam after the dispatcher's post-block
+            # runaway check (the budget variant already checks before
+            # every instruction): a runaway loop leaves the frame, and
+            # the dispatcher raises.
+            if not budget:
+                fr.bail = True
+                A(p2 + "if executed > maxi:")
+                A(p2 + "    break")
+            A(p2 + "continue")
 
         for k, p in enumerate(pcs, start=1):
             op = self._ops[p]
@@ -839,38 +937,19 @@ class BlockCache:
                 wend = end >> self._ws
                 lend = end >> 6
                 if sim_cw == "?":
-                    kw, kl = K(w), K(ln)
-                    A(pad + f"if cw != {kw}:")
-                    A(pad + f"    cycles += {WINC_L}")
-                    A(pad + f"    cnt[{_T['window_fetches']}] += 1")
-                    A(pad + f"    if cl != {kl}:")
-                    A(pad + f"        cycles += ai({kl})")
-                    A(pad + f"        cl = {kl}")
+                    A(pad + f"if cw != {K(w)}:")
+                    event(pad + "    ", "window_fetches", WINC_L)
+                    fetch_line(pad + "    ", ln, True)
                     sim_cw = w
-                    sim_cl = "?"
                 elif sim_cw != w:
                     pend += WINC
                     statics[_T["window_fetches"]] += 1
-                    if sim_cl == "?":
-                        kl = K(ln)
-                        A(pad + f"if cl != {kl}:")
-                        A(pad + f"    cycles += ai({kl})")
-                        A(pad + f"    cl = {kl}")
-                    elif sim_cl != ln:
-                        A(pad + f"cycles += ai({K(ln)})")
-                    sim_cl = ln
+                    line_change(pad, ln)
                     sim_cw = w
                 if wend != sim_cw:
                     pend += STR
                     statics[_T["window_straddles"]] += 1
-                    if sim_cl == "?":
-                        kl = K(lend)
-                        A(pad + f"if cl != {kl}:")
-                        A(pad + f"    cycles += ai({kl})")
-                        A(pad + f"    cl = {kl}")
-                    elif sim_cl != lend:
-                        A(pad + f"cycles += ai({K(lend)})")
-                    sim_cl = lend
+                    line_change(pad, lend)
                     sim_cw = wend
 
             pend += ISSUE
@@ -980,53 +1059,40 @@ class BlockCache:
             elif op <= 27:  # memory
                 lu_check(pad, [ra])
                 vac = KV(ra)
+                ea = "ea"
                 if vac is not None:
                     A(pad + f"ea = {vac + imm}")
                 elif imm:
                     A(pad + f"ea = _r{ra} + {imm}")
                 else:
-                    A(pad + f"ea = _r{ra}")
+                    ea = f"_r{ra}"
                 if op == 24:  # LOAD
                     statics[_T["loads"]] += 1
-                    A(pad + "if ea & 7:")
-                    A(pad + f"    cnt[{_T['unaligned_accesses']}] += 1")
-                    A(pad + f"    cycles += {UNAL}")
-                    data_access(pad, "ea")
-                    A(pad + "if (ea & 63) > 56:")
-                    A(pad + f"    cnt[{_T['line_splits']}] += 1")
-                    A(pad + f"    cycles += {SPL}")
-                    A(pad + "    cycles += ad(_ln + 1)")
+                    data_access(pad, ea, True)
                     A(pad + "try:")
-                    A(pad + f"    _r{rd} = mem[ea]")
+                    A(pad + f"    _r{rd} = mem[{ea}]")
                     A(pad + "except KeyError:")
                     A(pad + f"    _r{rd} = 0")
                     llr = rd
                 elif op == 25:  # STORE
                     lu_check(pad, [rb])
                     statics[_T["stores"]] += 1
-                    A(pad + "if ea & 7:")
-                    A(pad + f"    cnt[{_T['unaligned_accesses']}] += 1")
-                    A(pad + f"    cycles += {UNAL}")
-                    data_access(pad, "ea")
-                    A(pad + "if (ea & 63) > 56:")
-                    A(pad + f"    cnt[{_T['line_splits']}] += 1")
-                    A(pad + f"    cycles += {SPL}")
-                    A(pad + "    cycles += ad(_ln + 1)")
-                    A(pad + f"mem[ea] = _r{rb}")
+                    data_access(pad, ea, True)
+                    A(pad + f"mem[{ea}] = _r{rb}")
                     llr = -1
                 elif op == 26:  # LOADB
                     statics[_T["loads"]] += 1
-                    data_access(pad, "ea")
+                    data_access(pad, ea, False)
                     A(pad + "try:")
-                    A(pad + f"    _r{rd} = mem[ea] & 255")
+                    A(pad + f"    _r{rd} = mem[{ea}] & 255")
                     A(pad + "except KeyError:")
                     A(pad + f"    _r{rd} = 0")
                     llr = rd
                 else:  # STOREB
                     lu_check(pad, [rb])
                     statics[_T["stores"]] += 1
-                    data_access(pad, "ea")
-                    A(pad + f"mem[ea] = _r{rb} & 255")
+                    data_access(pad, ea, False)
+                    A(pad + f"mem[{ea}] = _r{rb} & 255")
                     llr = -1
             elif op in (28, 29):  # BEQZ / BNEZ
                 lu_check(pad, [ra])
@@ -1050,23 +1116,22 @@ class BlockCache:
                 if GSH:
                     A(p2 + f"_h = ((_h << 1) | 1) & {HMASK}")
                 A(p2 + "if _c < 2:")
-                A(p2 + f"    cnt[{_T['mispredicts']}] += 1")
-                A(p2 + f"    cycles += {MISP}")
-                A(p2 + f"cnt[{_T['taken_branches']}] += 1")
+                event(p2 + "    ", "mispredicts", MISP)
                 llr = -1
                 if cfg.has_lsd and self._lsd_eligible[p]:
                     self._emit_lsd_bookkeeping(out, p2, p, tgt, covered, K)
                 shared = pend
                 pend += TAK
+                statics[_T["taken_branches"]] += 1
                 emit_exit(p2, tgt, p)
+                statics[_T["taken_branches"]] -= 1
                 pend = shared
                 A(pad + "if _c > 0:")
                 A(pad + f"    {pslot} = _c - 1")
                 if GSH:
                     A(pad + f"_h = (_h << 1) & {HMASK}")
                 A(pad + "if _c >= 2:")
-                A(pad + f"    cnt[{_T['mispredicts']}] += 1")
-                A(pad + f"    cycles += {MISP}")
+                event(pad + "    ", "mispredicts", MISP)
                 emit_exit(pad, p + 1, p, cont=True)
                 return
             elif op == 30:  # JMP
@@ -1079,49 +1144,33 @@ class BlockCache:
             elif op == 31:  # CALL
                 statics[_T["calls"]] += 1
                 pend += TAK + CALLX
-                A(pad + "sp = _r15 - 8")
-                A(pad + "_r15 = sp")
-                A(pad + "if sp & 7:")
-                A(pad + f"    cnt[{_T['unaligned_accesses']}] += 1")
-                A(pad + f"    cycles += {UNAL}")
-                data_access(pad, "sp")
-                A(pad + "if (sp & 63) > 56:")
-                A(pad + f"    cnt[{_T['line_splits']}] += 1")
-                A(pad + f"    cycles += {SPL}")
-                A(pad + "    cycles += ad(_ln + 1)")
+                A(pad + "_r15 -= 8")
+                data_access(pad, "_r15", True)
                 statics[_T["stores"]] += 1
-                A(pad + f"mem[sp] = {K(addr + size)}")
+                A(pad + f"mem[_r15] = {K(addr + size)}")
                 llr = -1
                 emit_exit(pad, tgt, p)
                 return
             elif op == 32:  # RET
                 statics[_T["returns"]] += 1
                 pend += TAK + RETX
-                A(pad + "sp = _r15")
-                A(pad + "_ra = mg(sp)")
+                A(pad + "_ra = mg(_r15)")
                 A(pad + "if _ra is None:")
                 A(
                     pad + "    raise SimulationError(f\"return with corrupt"
-                    f" stack at pc={{{K(p)}}} (sp={{sp:#x}})\")"
+                    f" stack at pc={{{K(p)}}} (sp={{_r15:#x}})\")"
                 )
                 statics[_T["loads"]] += 1
-                A(pad + "if sp & 7:")
-                A(pad + f"    cnt[{_T['unaligned_accesses']}] += 1")
-                A(pad + f"    cycles += {UNAL}")
-                data_access(pad, "sp")
-                A(pad + "if (sp & 63) > 56:")
-                A(pad + f"    cnt[{_T['line_splits']}] += 1")
-                A(pad + f"    cycles += {SPL}")
-                A(pad + "    cycles += ad(_ln + 1)")
-                A(pad + "_r15 = sp + 8")
-                A(pad + "_x = a2i(_ra)")
-                A(pad + "if _x is None:")
+                data_access(pad, "_r15", True)
+                A(pad + "_r15 += 8")
+                A(pad + "_to = a2i(_ra)")
+                A(pad + "if _to is None:")
                 A(
                     pad + "    raise SimulationError(f\"return to"
                     ' non-instruction address {_ra:#x}")'
                 )
                 llr = -1
-                emit_exit(pad, "_x", p)
+                emit_exit(pad, "_to", p)
                 return
             elif op == 33:  # NOP
                 statics[_T["nops"]] += 1
@@ -1251,7 +1300,7 @@ def execute_fast(
     regs = [0] * 16
     regs[15] = image.sp_start
     hierarchy = machine.hierarchy
-    cnt = [0] * len(TALLY_FIELDS)
+    cnt = [0] * (_IHIT + 1)
     lsd = [0, -1, -1, 0, -1]
     bud = max_cycles * CENTI if max_cycles is not None else float("inf")
     fcy: Dict[str, float] = (
@@ -1270,11 +1319,11 @@ def execute_fast(
     ph = [getattr(predictor, "_history", 0)]
     bind = (
         regs, mem, mem.get,
-        hierarchy.access_data, hierarchy.access_instruction,
+        hierarchy.data_after_probe, hierarchy.fetch_after_probe,
         predictor._table, ph,
         cnt, lsd, bud, max_instructions,
         fcy, pcc, epc, ecc, ens, est, eck,
-        hierarchy._d_sets, hierarchy._d_mask, hierarchy.l1d,
+        hierarchy.l1d._mru, hierarchy.l1i._mru,
     )
 
     funcs: Dict[int, Callable] = {}
@@ -1288,26 +1337,40 @@ def execute_fast(
     cl = -1
     n = len(exe.ops)
     pc = exe.entry
-    while True:
-        f = funcs_get(pc)
-        if f is None:
-            if pc < 0 or pc >= n:
-                raise SimulationError(f"pc out of range: {pc}")
-            fac = table_get(pc)
-            if fac is None:
-                fac = cache.factory(pc, variant)
-            f = fac(*bind)
-            funcs[pc] = f
-        nxt, cycles, executed, llr, cw, cl = f(cycles, executed, llr, cw, cl)
-        if executed > max_instructions:
-            raise SimulationError(
-                f"exceeded {max_instructions} instructions (runaway loop?)"
+    try:
+        while True:
+            f = funcs_get(pc)
+            if f is None:
+                if pc < 0 or pc >= n:
+                    raise SimulationError(f"pc out of range: {pc}")
+                fac = table_get(pc)
+                if fac is None:
+                    fac = cache.factory(pc, variant)
+                f = fac(*bind)
+                funcs[pc] = f
+            nxt, cycles, executed, llr, cw, cl = f(
+                cycles, executed, llr, cw, cl
             )
-        if eprof_on:
-            entries += 1
-        if nxt is None:
-            break
-        pc = nxt
+            if executed > max_instructions:
+                raise SimulationError(
+                    f"exceeded {max_instructions} instructions"
+                    " (runaway loop?)"
+                )
+            if eprof_on:
+                entries += 1
+            if nxt is None:
+                break
+            pc = nxt
+    finally:
+        # Inline-probed accesses were counted as hits up front.  Every
+        # load and store (CALL and RET included) makes one L1D access,
+        # and every line split one more, so the tallies hold the L1D
+        # count.  They cover every frame that has exited, also when the
+        # run raises (see ``Cache``).
+        hierarchy.l1d.hits += (
+            cnt[_T["loads"]] + cnt[_T["stores"]] + cnt[_T["line_splits"]]
+        )
+        hierarchy.l1i.hits += cnt[_IHIT]
 
     if hasattr(predictor, "_history"):
         # Flush the frame-carried gshare history back to the predictor

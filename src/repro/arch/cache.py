@@ -50,9 +50,15 @@ class Cache:
     The public interface works in *line numbers* (``addr // line_size``) —
     the engine precomputes them — via :meth:`access_line`, which returns
     True on hit and installs the line on miss (evicting LRU).
+
+    ``_mru[s]`` mirrors the MRU way of set ``s`` (``_sets[s][0]``, or None
+    while the set is empty; not -1, which is the line of addresses -64..-1
+    and so a legal resident).  Generated block code probes it inline, and
+    every method that reorders or empties a set keeps it current; the
+    list is only ever updated in place, so aliases to it stay valid.
     """
 
-    __slots__ = ("config", "_sets", "_set_mask", "hits", "misses")
+    __slots__ = ("config", "_sets", "_mru", "_set_mask", "hits", "misses")
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
@@ -60,6 +66,7 @@ class Cache:
         if num_sets & (num_sets - 1):
             raise ValueError(f"{config.name}: number of sets must be a power of two")
         self._sets: List[List[int]] = [[] for _ in range(num_sets)]
+        self._mru: List[Optional[int]] = [None] * num_sets
         self._set_mask = num_sets - 1
         self.hits = 0
         self.misses = 0
@@ -68,14 +75,14 @@ class Cache:
         """Access ``line``; True on hit.  Misses install the line (LRU).
 
         The MRU position is checked before the full way scan: loop-bound
-        access streams hit the MRU way most of the time, and this method
-        is the hottest call in the whole simulator (every modelled
-        memory access and I-cache line change lands here).
+        access streams hit the MRU way most of the time.
         """
-        ways = self._sets[line & self._set_mask]
-        if ways and ways[0] == line:
+        s = line & self._set_mask
+        if self._mru[s] == line:
             self.hits += 1
             return True
+        self._mru[s] = line
+        ways = self._sets[s]
         if line in ways:
             # Move to MRU position.
             ways.remove(line)
@@ -107,6 +114,7 @@ class Cache:
         """Empty the cache; statistics are preserved."""
         for ways in self._sets:
             ways.clear()
+        self._mru[:] = [None] * len(self._mru)
 
     def reset_stats(self) -> None:
         self.hits = 0
@@ -127,6 +135,14 @@ class CacheHierarchy:
     :meth:`access_instruction` / :meth:`access_data` return the *extra
     cost* beyond an L1 hit in centicycles (the engine's unit), from the
     machine's latency settings, which are given in cycles.
+
+    Generated block code probes each L1's ``_mru`` array inline and
+    counts a hit for every access up front; only a failed probe calls
+    :meth:`fetch_after_probe` / :meth:`data_after_probe`, which take
+    that hit back before walking the hierarchy.  The up-front hits of a
+    frame are added when it exits, so after a fast-path run that raised
+    (a trap or a ``RunTimeout``) the L1 ``hits`` are short by the hits
+    of the frame the run raised in.
     """
 
     __slots__ = (
@@ -135,9 +151,9 @@ class CacheHierarchy:
         "l2",
         "lat_l2",
         "lat_mem",
-        "_i_sets",
+        "_i_mru",
         "_i_mask",
-        "_d_sets",
+        "_d_mru",
         "_d_mask",
     )
 
@@ -155,34 +171,42 @@ class CacheHierarchy:
         self.lat_l2 = centicycles(lat_l2)
         self.lat_mem = centicycles(lat_mem)
         # Hot-path bindings: the accessors below are called for every
-        # modelled memory access, so the L1 MRU probe reads the set
-        # lists directly instead of chasing two attribute levels.
-        # (Cache.flush clears the way lists in place, so these aliases
-        # stay valid for the cache's lifetime.)
-        self._i_sets = self.l1i._sets
+        # modelled memory access, so the L1 MRU probe reads the MRU
+        # arrays directly instead of chasing two attribute levels.
+        self._i_mru = self.l1i._mru
         self._i_mask = self.l1i._set_mask
-        self._d_sets = self.l1d._sets
+        self._d_mru = self.l1d._mru
         self._d_mask = self.l1d._set_mask
 
     def access_instruction(self, line: int) -> float:
         """Extra centicycles (beyond an L1I hit) for fetching ``line``."""
-        ways = self._i_sets[line & self._i_mask]
-        if ways and ways[0] == line:
+        if self._i_mru[line & self._i_mask] == line:
             self.l1i.hits += 1
             return 0.0
-        if self.l1i.access_line(line):
-            return 0.0
-        if self.l2 is None or self.l2.access_line(line):
-            return self.lat_l2
-        return self.lat_mem
+        return self._past_mru(self.l1i, line)
 
     def access_data(self, line: int) -> float:
         """Extra centicycles (beyond an L1D hit) for accessing ``line``."""
-        ways = self._d_sets[line & self._d_mask]
-        if ways and ways[0] == line:
+        if self._d_mru[line & self._d_mask] == line:
             self.l1d.hits += 1
             return 0.0
-        if self.l1d.access_line(line):
+        return self._past_mru(self.l1d, line)
+
+    def fetch_after_probe(self, line: int) -> float:
+        """:meth:`access_instruction` for a ``line`` that failed an inline
+        MRU probe whose caller has already counted it as an L1I hit."""
+        self.l1i.hits -= 1
+        return self._past_mru(self.l1i, line)
+
+    def data_after_probe(self, line: int) -> float:
+        """:meth:`access_data` for a ``line`` that failed an inline MRU
+        probe whose caller has already counted it as an L1D hit."""
+        self.l1d.hits -= 1
+        return self._past_mru(self.l1d, line)
+
+    def _past_mru(self, l1: Cache, line: int) -> float:
+        """Extra centicycles for ``line``, not in ``l1``'s MRU way."""
+        if l1.access_line(line):
             return 0.0
         if self.l2 is None or self.l2.access_line(line):
             return self.lat_l2

@@ -9,7 +9,13 @@ a random environment size, and run under ``REPRO_ENGINE_FASTPATH=0`` and
 compile memo, so the second link's blocks mostly run code compiled for
 the first, bound to the second link's own addresses.  The two outcomes (RunResult, or trap type and message) must be
 bit-equal in every run mode: plain, function and pc profiling, a cycle
-budget that expires mid-run, and a runaway instruction cap.  After the
+budget that expires mid-run, and a runaway instruction cap.  A run that
+completes must also leave the machine in the same state on both paths:
+every cache level's hit and miss counts and set contents, and the branch
+predictor's table and history (the fast path counts inline-probed L1
+hits up front, so a wrong static count shows here and nowhere else).
+Every cache keeps its MRU mirror, ``_mru[s]``, equal to the first way
+of set ``s`` (None while the set is empty).  After the
 variant is warmed, the run must compile no static leader late: every
 block the dispatcher entered at a leader was in the dispatch closure.
 Time is exact on both paths: ``cycles`` is a whole number of
@@ -85,16 +91,39 @@ def _assert_exact(outcome):
         assert sum(_centicycles(v) for v in outcome[4]) == total
 
 
+def _machine_state(machine):
+    """Hits, misses and set contents of every cache level, then the
+    predictor's table and history; checks each cache's MRU mirror."""
+    hierarchy = machine.hierarchy
+    levels = []
+    for cache in (hierarchy.l1i, hierarchy.l1d, hierarchy.l2):
+        if cache is None:
+            levels.append(None)
+            continue
+        for s, ways in enumerate(cache._sets):
+            assert cache._mru[s] == (ways[0] if ways else None), (cache, s)
+        levels.append((cache.hits, cache.misses,
+                       [list(ways) for ways in cache._sets]))
+    predictor = machine.predictor
+    return (levels, list(predictor._table),
+            getattr(predictor, "_history", None))
+
+
 def _outcome(exe, preset, env, fast, **kw):
-    """("ok", every RunResult field) or ("trap", type, message)."""
+    """("ok", every RunResult field, machine state) or ("trap", type,
+    message).  A trap abandons the run, so its machine state is not
+    compared (the MRU mirrors are still checked)."""
     image = load_process(exe, env)
+    machine = get_machine(preset).build()
     with mock.patch.dict(os.environ, {FASTPATH_ENV: "1" if fast else "0"}):
         try:
-            r = execute(image, get_machine(preset).build(), **kw)
+            r = execute(image, machine, **kw)
         except (RunTimeout, SimulationError) as exc:
+            _machine_state(machine)
             return ("trap", type(exc).__name__, str(exc))
     return ("ok", r.exit_value, r.counters.as_dict(),
-            sorted(r.function_cycles.items()), r.pc_cycles, r.trace)
+            sorted(r.function_cycles.items()), r.pc_cycles, r.trace,
+            _machine_state(machine))
 
 
 @settings(max_examples=30, deadline=None)

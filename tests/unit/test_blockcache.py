@@ -10,12 +10,15 @@ docs/engine.md for why each of these cases is load-bearing.
 
 import dataclasses
 import itertools
+import os
+from unittest import mock
 
 import pytest
 
 from repro import workloads
 from repro._errors import RunTimeout, SimulationError
 from repro.arch import blockcache, execute, get_machine
+from repro.arch.cache import CacheHierarchy
 from repro.arch.engine import EngineProfile, FASTPATH_ENV, fastpath_enabled
 from repro.core import Experiment, ExperimentalSetup
 from repro.obs import metrics as obs_metrics
@@ -114,6 +117,32 @@ class TestByteIdentity:
             fast[2]["cycles"] * 100
         )
 
+    @pytest.mark.parametrize("window", [32, 64, 128])
+    def test_fetch_window_widths_identical(self, monkeypatch, window):
+        # A window up to a line wide lies inside one line; a wider one
+        # can span two, so the current line is not a function of the
+        # window.  sphinx3 crosses enough lines inside wide windows for
+        # a stale line to show in the hit counts.
+        exp = Experiment(workloads.get("sphinx3"), "test", seed=1)
+        exe = exp.build(ExperimentalSetup(machine="pentium4", opt_level=2))
+        cfg = get_machine("pentium4").with_overrides(fetch_window_bytes=window)
+        for kw in ({}, {"profile_pcs": True}):
+            outcomes = []
+            for fast in ("0", "1"):
+                monkeypatch.setenv(FASTPATH_ENV, fast)
+                image = load_process(
+                    exe, environment=Environment.typical(),
+                    inputs=exp.workload.input_for("test", 1),
+                )
+                machine = cfg.build()
+                r = execute(image, machine, **kw)
+                h = machine.hierarchy
+                outcomes.append((
+                    r.exit_value, r.counters, r.pc_cycles,
+                    [(c.hits, c.misses) for c in (h.l1i, h.l1d, h.l2)],
+                ))
+            assert outcomes[1] == outcomes[0]
+
     def test_lsd_coverage_identical(self, exe, monkeypatch):
         ref, fast = both_paths(exe, monkeypatch, machine="core2")
         assert fast[2]["lsd_covered"] == ref[2]["lsd_covered"] > 0
@@ -136,6 +165,17 @@ class TestTrapParity:
         ref, fast = both_paths(exe, monkeypatch, max_instructions=maxi)
         assert ref[0] == "trap" and ref[1] == "SimulationError"
         assert "runaway" in ref[2]
+        assert fast == ref
+
+    def test_endless_loop_runaway_identical(self, monkeypatch):
+        # The loop never leaves its factory's frame on its own: the
+        # runaway check inside the frame must end it.
+        exe = compile_single(
+            "int g; func main() { var i; i = 0;"
+            " while (1) { i = i + 1; g = i; } return i; }"
+        )
+        ref, fast = both_paths(exe, monkeypatch, max_instructions=5000)
+        assert ref[0] == "trap" and "runaway" in ref[2]
         assert fast == ref
 
     def test_division_by_zero_identical(self, monkeypatch):
@@ -275,6 +315,162 @@ class TestTimingMemoKeys:
         assert blockcache.block_cache_for(
             exe_a, cfg
         ) is not blockcache.block_cache_for(exe_a, cfg2)
+
+
+class TestInlineProbes:
+    """Generated code probes the L1 MRU lines inline and counts their
+    hits itself: a warmed loop calls no cache accessor per iteration,
+    and the caches' hit and miss counts still equal the reference's."""
+
+    SRC = """
+    int n;
+    int acc[8];
+    func main() {
+        var i; var s;
+        s = 1;
+        for (i = 0; i < n; i = i + 1) {
+            s = s + (i ^ 5) * 3 - (s >> 3);
+            acc[1] = acc[1] + s;
+            acc[2] = acc[2] ^ i;
+            s = s + (acc[1] & 7);
+        }
+        return s + acc[2];
+    }
+    """
+    ACCESSORS = (
+        "access_instruction",
+        "access_data",
+        "fetch_after_probe",
+        "data_after_probe",
+    )
+    # No loop stream detector: every iteration fetches its lines.
+    PRESET = "m5_o3cpu"
+
+    def _counted_run(self, exe, fast, n, env=None, stack_align=16):
+        """(RunResult, accessor calls, (l1i, l1d) hits and misses)."""
+        calls = dict.fromkeys(self.ACCESSORS, 0)
+
+        def counting(name):
+            method = getattr(CacheHierarchy, name)
+
+            def counted(hierarchy, line):
+                calls[name] += 1
+                return method(hierarchy, line)
+
+            return counted
+
+        machine = get_machine(self.PRESET).build()
+        image = load_process(
+            exe,
+            env if env is not None else Environment.typical(),
+            inputs={"n": n},
+            stack_align=stack_align,
+        )
+        with mock.patch.multiple(
+            CacheHierarchy, **{name: counting(name) for name in calls}
+        ), mock.patch.dict(os.environ, {FASTPATH_ENV: "1" if fast else "0"}):
+            r = execute(image, machine)
+        h = machine.hierarchy
+        counts = tuple((c.hits, c.misses) for c in (h.l1i, h.l1d))
+        return r, sum(calls.values()), counts
+
+    def test_steady_state_loop_calls_no_accessor(self):
+        exe = compile_single(self.SRC, opt_level=2)
+        cfg = get_machine(self.PRESET)
+        cache = blockcache.block_cache_for(exe, cfg)
+        loops = [
+            segs for segs, closes in map(cache._chain, cache.dispatch_closure())
+            if closes
+        ]
+        assert loops, "test program has no in-frame loop"
+        lines = {
+            exe.addrs[p] >> 6 for plan in loops[0] for p in plan.pcs
+        }
+        assert len(lines) >= 2, "loop body must span two I-cache lines"
+        blockcache.warm(exe, cfg)
+        runs = {
+            (fast, n): self._counted_run(exe, fast, n)
+            for fast in (False, True)
+            for n in (100, 200)
+        }
+        for n in (100, 200):
+            ref, fast = runs[(False, n)], runs[(True, n)]
+            assert fast[0] == ref[0]
+            assert fast[2] == ref[2], "L1 hits/misses differ"
+        # The reference calls an accessor for every fetch and access of
+        # every iteration; the fast path only for the first iteration's
+        # misses, however many iterations follow.
+        assert runs[(False, 200)][1] - runs[(False, 100)][1] >= 100 * 4
+        assert runs[(True, 200)][1] == runs[(True, 100)][1]
+
+    def test_trapped_run_keeps_hits_of_exited_frames(self):
+        """A run that traps still adds the up-front hits of every frame
+        that exited before the trap: the L1 hit counts fall short of the
+        reference's by at most the trapping block's few accesses."""
+        exe = compile_single(
+            """
+            int n;
+            int z;
+            int acc[4];
+            func f(x) {
+                acc[1] = acc[1] + x;
+                acc[2] = acc[2] ^ (x * 3);
+                acc[3] = acc[3] + (acc[2] >> 1);
+                return acc[1] + acc[3];
+            }
+            func main() {
+                var i; var s;
+                s = 0;
+                for (i = 0; i < n; i = i + 1) { s = s + f(i); }
+                return s / z;
+            }
+            """,
+            opt_level=2,
+        )
+        hits = {}
+        for fast in (False, True):
+            machine = get_machine(self.PRESET).build()
+            image = load_process(exe, Environment.typical(), inputs={"n": 100})
+            with mock.patch.dict(
+                os.environ, {FASTPATH_ENV: "1" if fast else "0"}
+            ), pytest.raises(SimulationError, match="division by zero"):
+                execute(image, machine)
+            h = machine.hierarchy
+            hits[fast] = (h.l1i.hits, h.l1d.hits)
+        assert min(hits[False]) > 100
+        for ref, fast in zip(hits[False], hits[True]):
+            assert ref - 4 <= fast <= ref
+
+    def test_misaligned_stack_hits_match_reference(self):
+        """CALL/RET on a misaligned stack: unaligned accesses and line
+        splits, whose second line is probed inline and counted through
+        the split tally, leave the reference's hit counts."""
+        exe = compile_single(
+            """
+            int n;
+            func step(x) { return x * 3 + 1; }
+            func main() {
+                var i; var s;
+                s = 0;
+                for (i = 0; i < n; i = i + 1) { s = s + step(i); }
+                return s;
+            }
+            """,
+            opt_level=0,
+        )
+        typical = Environment.typical()
+        unaligned = splits = 0
+        for extra in range(0, 64, 4):
+            env = Environment.of_size(typical.total_bytes + extra, typical)
+            ref, fast = (
+                self._counted_run(exe, f, 50, env=env, stack_align=4)
+                for f in (False, True)
+            )
+            assert fast[0] == ref[0]
+            assert fast[2] == ref[2], extra
+            unaligned += ref[0].counters.unaligned_accesses
+            splits += ref[0].counters.line_splits
+        assert unaligned > 0 and splits > 0
 
 
 class TestTelemetryAndWarm:

@@ -77,6 +77,38 @@ class TestCacheBehaviour:
         assert c.misses == 1
         assert c.access_line(1) is False
 
+    def test_mru_mirror_tracks_first_way(self):
+        c = small_cache(ways=2, sets=4)
+        assert c._mru == [None] * 4
+        for line in (0, 4, 0, 8, 5, 4):
+            c.access_line(line)
+            for s, ways in enumerate(c._sets):
+                assert c._mru[s] == (ways[0] if ways else None)
+        assert c._mru[0] == 4 and c._mru[1] == 5
+
+    def test_flush_resets_mru_in_place(self):
+        c = small_cache(ways=2, sets=4)
+        mru = c._mru
+        c.access_line(1)
+        c.access_line(2)
+        c.flush()
+        assert c._mru is mru  # aliases held by generated code stay valid
+        assert mru == [None] * 4
+        # An inline probe of the MRU array misses after the flush, and
+        # so does the access itself.
+        assert mru[1 & 3] != 1
+        assert c.access_line(1) is False
+        assert c._mru[1] == 1
+
+    def test_empty_set_never_matches_line_minus_one(self):
+        # Addresses -64..-1 are line -1, which maps to the last set: an
+        # empty set's mirror must not read as holding it.
+        c = small_cache(ways=2, sets=4)
+        assert c._mru[-1 & 3] != -1
+        assert c.access_line(-1) is False
+        assert c.access_line(-1) is True
+        assert (c.hits, c.misses) == (1, 1)
+
     def test_capacity_bounded(self):
         c = small_cache(ways=2, sets=4)
         for line in range(100):
@@ -120,6 +152,24 @@ class TestHierarchy:
         h.access_instruction(7)
         # A *data* access to line 5 misses L1D but hits the shared L2.
         assert h.access_data(5) == 1000.0
+
+    def test_after_probe_takes_back_the_counted_hit(self):
+        """A caller that counted an L1 hit up front and then failed the
+        inline MRU probe ends with the counts a plain access gives."""
+        ref, fast = self._hierarchy(), self._hierarchy()
+        seq = [("d", 0), ("d", 4), ("d", 0), ("i", 5), ("d", 8), ("i", 3),
+               ("i", 5), ("d", 4), ("i", 7), ("i", 5), ("d", 0)]
+        for kind, line in seq:
+            plain = ref.access_data if kind == "d" else ref.access_instruction
+            l1 = fast.l1d if kind == "d" else fast.l1i
+            after = (fast.data_after_probe if kind == "d"
+                     else fast.fetch_after_probe)
+            l1.hits += 1
+            cost = after(line) if l1._mru[line & 1] != line else 0.0
+            assert cost == plain(line)
+        for level in ("l1i", "l1d", "l2"):
+            a, b = getattr(ref, level), getattr(fast, level)
+            assert (a.hits, a.misses, a._sets) == (b.hits, b.misses, b._sets)
 
     def test_no_l2_means_flat_latency(self):
         h = CacheHierarchy(
